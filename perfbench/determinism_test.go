@@ -13,8 +13,6 @@ import (
 var tiny = workload{
 	name: "tiny", generate: lafdbscan.NYTLike, total: 1000,
 	eps: 0.55, tau: 5, lafBackend: "",
-	dbscanReps: 1, lafReps: 2,
-	predictPerSec: 20, insertPerSec: 4, insertSize: 3,
 }
 
 // TestInputsDependOnlyOnTheSeed pins that a seed reproduces its inputs

@@ -62,21 +62,21 @@ func makeInputs(w workload, seed int64, window time.Duration) (*inputs, error) {
 		return out
 	}
 	in.probe = draw(probeSize)
-	in.warmup = draw(w.insertSize)
+	in.warmup = draw(insertSize)
 
 	// Predicts arrive evenly spaced, so the schedule has no bursts. Each
 	// insert lands at a uniformly random point of its own slot, so inserts
 	// meet predicts at every offset rather than on a fixed beat that would
 	// make their latency hinge on which of two requests wins a race.
 	secs := window.Seconds()
-	nPredict := int(math.Round(w.predictPerSec * secs))
-	nInsert := int(math.Round(w.insertPerSec * secs))
+	nPredict := int(math.Round(predictPerSec * secs))
+	nInsert := int(math.Round(insertPerSec * secs))
 	ops := make([]op, 0, nPredict+nInsert)
 	for i := 0; i < nPredict; i++ {
-		ops = append(ops, op{due: time.Duration(float64(i) / w.predictPerSec * float64(time.Second))})
+		ops = append(ops, op{due: time.Duration(float64(i) / predictPerSec * float64(time.Second))})
 	}
 	for j := 0; j < nInsert; j++ {
-		at := (float64(j) + rng.Float64()) / w.insertPerSec
+		at := (float64(j) + rng.Float64()) / insertPerSec
 		ops = append(ops, op{insert: true, due: time.Duration(at * float64(time.Second))})
 	}
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].due < ops[j].due })
@@ -84,7 +84,7 @@ func makeInputs(w workload, seed int64, window time.Duration) (*inputs, error) {
 	// of the seed and the rates only.
 	for i := range ops {
 		if ops[i].insert {
-			ops[i].vectors = draw(w.insertSize)
+			ops[i].vectors = draw(insertSize)
 		} else {
 			ops[i].vectors = draw(predictSize)
 		}

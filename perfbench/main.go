@@ -44,7 +44,7 @@ var perLayer = [][2]string{
 // endToEnd lists the metrics an untraced run reports.
 var endToEnd = []string{
 	"setup_s", "dbscan_fit_s", "laf_fit_s", "laf_ari",
-	"predict_p50_ms", "recovery_s", "peak_rss_mb",
+	"predict_p50_ms", "insert_run_p50_ms", "recovery_s", "peak_rss_mb",
 }
 
 type result struct {
@@ -115,8 +115,8 @@ func run() int {
 			}
 		}
 	}
-	fmt.Fprintf(os.Stderr, "perfbench: samples %v, predict %v, insert %v; %d of %d operations and checks failed\n",
-		r.notes["samples"], r.notes["predict_ms"], r.notes["insert_ms"], r.failed, r.attempted)
+	fmt.Fprintf(os.Stderr, "perfbench: requests %+v, predict %v, insert %v; %d of %d operations and checks failed\n",
+		r.notes["requests"], r.notes["predict_ms"], r.notes["insert_ms"], r.failed, r.attempted)
 	out, err := json.Marshal(res)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)

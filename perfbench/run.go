@@ -118,11 +118,11 @@ func (r *runner) execute(ctx context.Context) error {
 	}
 
 	// The batch fits: exact DBSCAN, then LAF-DBSCAN on the workload's index.
-	exact, dbscanWall, dbscanAlloc, err := r.fitRepeated(ctx, "fit.dbscan", lafdbscan.MethodDBSCAN, r.w.dbscanReps, root)
+	exact, dbscanWall, dbscanAlloc, err := r.fitRepeated(ctx, "fit.dbscan", lafdbscan.MethodDBSCAN, root)
 	if err != nil {
 		return err
 	}
-	laf, lafWall, lafAlloc, err := r.fitRepeated(ctx, "fit.laf", lafdbscan.MethodLAFDBSCAN, r.w.lafReps, root,
+	laf, lafWall, lafAlloc, err := r.fitRepeated(ctx, "fit.laf", lafdbscan.MethodLAFDBSCAN, root,
 		lafdbscan.WithEstimator(est), lafdbscan.WithIndexBackend(r.w.lafBackend))
 	if err != nil {
 		return err
@@ -164,23 +164,23 @@ func (r *runner) execute(ctx context.Context) error {
 	return nil
 }
 
-// fitRepeated fits the test set reps times and checks that every
-// repetition reproduces the first bit for bit. It returns the first model,
-// the median wall time and the MiB the first fit allocated.
-func (r *runner) fitRepeated(ctx context.Context, name string, m lafdbscan.Method, reps, root int,
+// fitRepeated fits the test set repeatedly (see minReps) and checks that
+// every repetition reproduces the first bit for bit. It returns the first
+// model, the median wall time and the MiB the first fit allocated.
+func (r *runner) fitRepeated(ctx context.Context, name string, m lafdbscan.Method, root int,
 	opts ...lafdbscan.FitOption) (*lafdbscan.Model, time.Duration, float64, error) {
 	var (
 		first *lafdbscan.Model
 		alloc float64
+		walls []float64
 	)
-	walls := make([]float64, reps)
-	for i := range walls {
+	for begin := time.Now(); again(len(walls), begin); {
 		id := r.rec.begin(name, root)
 		settle()
 		alloc0 := allocMB()
 		start := time.Now()
 		model, err := lafdbscan.Fit(ctx, r.in.test, m, r.fitOptions(opts...)...)
-		walls[i] = time.Since(start).Seconds()
+		walls = append(walls, time.Since(start).Seconds())
 		r.rec.end(id)
 		if err := r.must(err, name); err != nil {
 			return nil, 0, 0, err
@@ -188,10 +188,17 @@ func (r *runner) fitRepeated(ctx context.Context, name string, m lafdbscan.Metho
 		if first == nil {
 			first, alloc = model, allocMB()-alloc0
 		} else {
-			r.check(sameFit(first, model), "%s did not repeat: repetition %d differs from the first", name, i)
+			r.check(sameFit(first, model), "%s did not repeat: repetition %d differs from the first", name, len(walls)-1)
 		}
 	}
 	return first, time.Duration(median(walls) * float64(time.Second)), alloc, nil
+}
+
+// again reports whether a measurement repeated n times since begin runs
+// once more: at least minReps times, then until repBudget has passed, and
+// never more than maxReps times.
+func again(n int, begin time.Time) bool {
+	return n < minReps || (n < maxReps && time.Since(begin) < repBudget)
 }
 
 // settle collects garbage before a timed phase, so that a collection owed
@@ -477,8 +484,8 @@ func (r *runner) serveStage(ctx context.Context, exact *lafdbscan.Model, root in
 	// Recovery: construct a new server on the same journal and time it to
 	// the first correct predict. Recovery writes nothing, so every restart
 	// replays the same journal.
-	recoveries := make([]float64, recoveryReps)
-	for i := range recoveries {
+	var recoveries []float64
+	for begin := time.Now(); again(len(recoveries), begin); {
 		span := r.rec.begin("serve.recovery", root)
 		settle()
 		start := time.Now()
@@ -488,7 +495,7 @@ func (r *runner) serveStage(ctx context.Context, exact *lafdbscan.Model, root in
 		}
 		c = newClient(srv.base)
 		after, err := c.predict(modelID, r.in.probe)
-		recoveries[i] = time.Since(start).Seconds()
+		recoveries = append(recoveries, time.Since(start).Seconds())
 		r.rec.end(span)
 		if err := r.must(err, "probe predict after the restart"); err != nil {
 			return nil, err
@@ -508,6 +515,16 @@ func (r *runner) serveStage(ctx context.Context, exact *lafdbscan.Model, root in
 	}
 	r.setE2E("recovery_s", median(recoveries), "s")
 	return serveS, nil
+}
+
+// requestCounts is the window's accounting for one operation. A refused
+// request (429) is not counted as failed; an insert that was accepted but
+// whose job did not end done is.
+type requestCounts struct {
+	Sent      int `json:"sent"`
+	Succeeded int `json:"succeeded"`
+	Failed    int `json:"failed"`
+	Refused   int `json:"refused"`
 }
 
 // serveWindow runs the open-loop schedule against the model and records
@@ -545,16 +562,24 @@ func (r *runner) serveWindow(c *client, modelID string, root int) error {
 	r.rec.end(span)
 
 	var predictLat, insertLat, lag, clientPredict, queue, run []float64
-	refused := 0
+	var predicts, inserts requestCounts
 	for i, s := range samples {
+		n := &predicts
+		if ops[i].insert {
+			n = &inserts
+		}
+		n.Sent++
 		lag = append(lag, ms(s.sent.Sub(s.due)))
 		if s.status == 429 {
-			refused++
+			n.Refused++
+		} else if s.err != nil {
+			n.Failed++
 		}
 		if !r.check(s.err == nil, "request %d: %v", i, s.err) {
 			continue
 		}
 		if !ops[i].insert {
+			n.Succeeded++
 			predictLat = append(predictLat, ms(s.done.Sub(s.due)))
 			clientPredict = append(clientPredict, ms(s.done.Sub(s.sent)))
 			continue
@@ -562,8 +587,10 @@ func (r *runner) serveWindow(c *client, modelID string, root int) error {
 		// Drain: read the job's timestamps once it has finished.
 		st, err := c.waitJob(s.jobID, 5*time.Minute)
 		if !r.check(err == nil, "insert job %s: %v", s.jobID, err) {
+			n.Failed++
 			continue
 		}
+		n.Succeeded++
 		insertLat = append(insertLat, ms(st.Finished.Sub(s.due)))
 		queue = append(queue, ms(st.Started.Sub(st.Created)))
 		run = append(run, ms(st.Finished.Sub(*st.Started)))
@@ -574,7 +601,7 @@ func (r *runner) serveWindow(c *client, modelID string, root int) error {
 		return err
 	}
 
-	r.notes["samples"] = map[string]int{"predict": len(predictLat), "insert": len(insertLat)}
+	r.notes["requests"] = map[string]requestCounts{"predict": predicts, "insert": inserts}
 	r.notes["window_s"] = elapsed.Seconds()
 	r.notes["predict_ms"] = map[string]float64{"p90": quantile(predictLat, 0.90),
 		"p95": quantile(predictLat, 0.95), "max": quantile(predictLat, 1)}
@@ -588,6 +615,7 @@ func (r *runner) serveWindow(c *client, modelID string, root int) error {
 	r.setLayer("predict_p99_ms", quantile(predictLat, 0.99), "ms")
 	r.setLayer("insert_p50_ms", median(insertLat), "ms")
 	r.setLayer("insert_p90_ms", quantile(insertLat, 0.90), "ms")
+	r.setE2E("insert_run_p50_ms", median(run), "ms")
 
 	diff := func(name, match string) float64 { return post.sum(name, match) - pre.sum(name, match) }
 	const route = `endpoint="POST /v1/models/{id}/predict"`
@@ -597,7 +625,7 @@ func (r *runner) serveWindow(c *client, modelID string, root int) error {
 	r.setLayer("serve.predict_transport_ms", mean(clientPredict)-serverMS, "ms")
 	r.setLayer("serve.insert_queue_ms", mean(queue), "ms")
 	r.setLayer("serve.insert_run_ms", mean(run), "ms")
-	r.setLayer("serve.refused", float64(refused), "count")
+	r.setLayer("serve.refused", float64(predicts.Refused+inserts.Refused), "count")
 	inserted := r.in.windowInserts()
 	r.setLayer("wal.appends", diff("laf_wal_appends_total", ""), "count")
 	r.setLayer("wal.fsyncs", diff("laf_wal_fsyncs_total", ""), "count")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Build and run the perfbench benchmark from the root of a checkout.
 
-    python3 perfbench/run.py --workload batch-ms768 --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload serve-nyt256-mixed --seed 1 --seconds 25 --trace 0
 
 The Go program is built from source into .bench_build/ (compiler cache,
 module cache and temporary files included), so a run reads and writes only

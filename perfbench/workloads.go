@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"time"
 
 	"lafdbscan"
 )
@@ -24,23 +25,28 @@ type workload struct {
 	// brute-force scan, lafdbscan.IndexBackendAuto lands on HNSW). The
 	// exact DBSCAN reference always runs on brute force.
 	lafBackend string
-	// dbscanReps and lafReps are how many times each fit runs; the fit
-	// metrics report the median.
-	dbscanReps int
-	lafReps    int
-	// predictPerSec and insertPerSec are the open-loop request rates of the
-	// serving window. They sit far below the predict capacity measured on a
-	// 2-CPU machine, so a predict is in flight less than a third of the
-	// time and most inserts find the model lock free, while a 25 s window
-	// still holds 1000 predicts and 125 inserts (ten beyond p99, twelve
-	// beyond p90). insertSize is the number of vectors per insert, small
-	// enough that the model grows by less than a fifth.
-	predictPerSec float64
-	insertPerSec  float64
-	insertSize    int
 }
 
 const (
+	// Each fit and the restart are repeated at least minReps times and
+	// then until repBudget has passed, but at most maxReps times; their
+	// metrics report the median. On a shared machine the CPU speed shifts
+	// every few seconds, so the median of repetitions spread over several
+	// seconds is far steadier than that of a fixed count of fast ones.
+	minReps   = 3
+	maxReps   = 15
+	repBudget = 6 * time.Second
+	// predictPerSec and insertPerSec are the open-loop request rates of the
+	// serving window. They sit far below the predict capacity measured on a
+	// 2-CPU machine, so a predict is in flight well under half the time
+	// and most inserts find the model lock free, while a 25 s window
+	// still holds 1000 predicts and 125 inserts (ten beyond p99, twelve
+	// beyond p90).
+	predictPerSec = 40
+	insertPerSec  = 5
+	// insertSize is the number of vectors per insert, small enough that
+	// the model grows by less than a fifth over a 25 s window.
+	insertSize = 3
 	// predictSize is the number of vectors in one predict request.
 	predictSize = 8
 	// probeSize is the fixed probe set checked against the library and
@@ -52,9 +58,6 @@ const (
 	// setupReps is the number of times a run performs its set-up;
 	// setup_s reports the median.
 	setupReps = 2
-	// recoveryReps is the number of restarts on the final journal;
-	// recovery_s reports the median.
-	recoveryReps = 3
 	// walSync is the journal fsync policy of the served model.
 	walSync = "always"
 )
@@ -71,8 +74,6 @@ var workloads = []workload{
 		// points, which makes the ARI swing from seed to seed.
 		name: "batch-glove200-hnsw", generate: lafdbscan.GloVeLike, total: 10000,
 		eps: 0.5, tau: 5, lafBackend: lafdbscan.IndexBackendAuto,
-		dbscanReps: 5, lafReps: 3,
-		predictPerSec: 40, insertPerSec: 5, insertSize: 3,
 	},
 	{
 		// Cheap 256-d fits on the exact scan leave the serving window —
@@ -80,8 +81,6 @@ var workloads = []workload{
 		// dominate the run.
 		name: "serve-nyt256-mixed", generate: lafdbscan.NYTLike, total: 15000,
 		eps: 0.55, tau: 5, lafBackend: "",
-		dbscanReps: 3, lafReps: 3,
-		predictPerSec: 40, insertPerSec: 5, insertSize: 3,
 	},
 }
 
