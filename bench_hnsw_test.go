@@ -13,6 +13,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"lafdbscan/internal/index"
+	"lafdbscan/internal/vecmath"
 )
 
 // hnswBenchEps is the query radius of the HNSW benchmarks, chosen so
@@ -68,10 +71,13 @@ func hnswBenchIndex(b *testing.B, backend string, n int) RangeIndex {
 }
 
 // BenchmarkHNSWBuild measures graph construction — the price paid once per
-// dataset for sub-linear queries afterwards.
+// dataset for sub-linear queries afterwards. dist_evals/op is the build's
+// distance-evaluation count, taken from one extra build through a counting
+// distance outside the timer (the build is deterministic).
 func BenchmarkHNSWBuild(b *testing.B) {
 	d := hnswBenchData(b, 10_000)
 	p := Params{Eps: hnswBenchEps, Tau: 5, Seed: 1, IndexBackend: "hnsw"}
+	evals := hnswBuildEvals(b, d.Vectors, p)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -79,6 +85,31 @@ func BenchmarkHNSWBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(evals), "dist_evals/op")
+}
+
+var (
+	hnswBuildEvalsOnce  sync.Once
+	hnswBuildEvalsCount int64
+)
+
+// hnswBuildEvals counts the distance evaluations of the graph build that
+// p.NewIndex runs over points, once per process.
+func hnswBuildEvals(b *testing.B, points [][]float32, p Params) int64 {
+	b.Helper()
+	hnswBuildEvalsOnce.Do(func() {
+		count := func(x, y []float32) float64 {
+			hnswBuildEvalsCount++
+			return vecmath.CosineDistanceUnit(x, y)
+		}
+		_, err := index.NewBackend(index.BackendHNSW, points, index.BackendOptions{
+			Metric: MetricCosine, Dist: count, Eps: p.Eps, EfSearch: p.EfSearch, Seed: p.Seed,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	})
+	return hnswBuildEvalsCount
 }
 
 // BenchmarkHNSWRange runs a fixed 64-query workload per iteration against

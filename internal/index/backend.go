@@ -75,7 +75,9 @@ type BackendOptions struct {
 	// historical NewBruteForceIndex behavior.
 	Metric vecmath.Metric
 	// Dist overrides the metric's distance function when non-nil (tests
-	// use it to instrument distance evaluations).
+	// use it to instrument distance evaluations). It must be symmetric bit
+	// for bit, Dist(a, b) == Dist(b, a) exactly: the HNSW build reuses
+	// each distance in both directions (see hnsw.New).
 	Dist vecmath.DistanceFunc
 	// Eps is the query radius, required by NeedsEps backends.
 	Eps float64

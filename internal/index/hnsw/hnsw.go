@@ -16,6 +16,21 @@
 // expansion bound to max(eps, worst-of-EfSearch), so every visited point
 // within eps is reported; raising EfSearch trades query time for recall.
 //
+// Construction is the textbook one (Algorithm 4's neighbor-selection
+// heuristic, keeping pruned links as backfill), with one change of method
+// and none of result: when a neighbor list overflows, the heuristic is not
+// re-run from scratch. Each list stores its distances, which of its links
+// the last pass kept, and for each pruned link a witness, the kept link
+// that pruned it. The new link is placed where a stable sort by distance
+// would put it; decisions before it stand, and after it a kept link is
+// checked only against links newly kept in this pass, while a pruned link
+// stays pruned as long as its witness is kept. The new link, and any link
+// appended before the list first overflowed, gets the full check. This is
+// exact because a decision depends only on the links kept before it, and
+// a pruned link changes no other decision. The graph is therefore the one
+// the full re-prune builds, link for link, at about a fifth of its
+// distance evaluations (pinned by reference_test.go).
+//
 // The package depends only on vecmath: the index package layers the
 // batch/worker-pool plumbing and the backend registry on top of it.
 package hnsw
@@ -75,7 +90,35 @@ func (c Config) withDefaults() Config {
 
 // node is one graph vertex: a neighbor list per layer 0..level.
 type node struct {
-	layers [][]int32
+	layers []adjList
+}
+
+// adjList is one node's neighbor list at one layer, stored the way the
+// selection heuristic left it so that a later overflow can re-decide only
+// what the new link changes (see link):
+//
+//	ids[:kept]         the heuristic's survivors, by ascending distance
+//	ids[kept:scanned]  pruned backfill, by ascending distance
+//	ids[scanned:]      links appended since, not yet scanned
+//
+// ds[k] is the distance from the node to ids[k], and wit[k] (for
+// kept <= k < scanned) the index of the kept neighbor that pruned ids[k].
+type adjList struct {
+	ids           []int32
+	ds            []float64
+	wit           []int32
+	kept, scanned int
+}
+
+// newAdjList allocates a list with room for limit links. ids and wit share
+// one allocation; the capacity caps keep appends to ids off wit.
+func newAdjList(limit int) adjList {
+	buf := make([]int32, 2*limit)
+	return adjList{
+		ids: buf[:0:limit],
+		ds:  make([]float64, 0, limit),
+		wit: buf[limit:],
+	}
 }
 
 // Graph is the index. Queries (RangeSearch, RangeCount, KNN) are safe for
@@ -102,11 +145,21 @@ type Graph struct {
 	gen      uint64 // rebuild generation, part of the level-hash domain
 
 	pool sync.Pool // *searchCtx
+
+	// prune is the selection heuristic's scratch, reused by every
+	// selectNeighbors call; mutations are single-goroutine by contract.
+	prune pruneScratch
 }
 
 // New builds a graph over points with the given distance. The points
 // slice is retained and mutated by Insert/Delete, like every dynamic
 // index here.
+//
+// dist must be symmetric bit for bit: dist(a, b) == dist(b, a) exactly.
+// The build stores the distance a new node computed to each neighbor and
+// reuses it as that neighbor's distance back to the node. The vecmath
+// distances (CosineDistanceUnit, CosineDistance, EuclideanDistance)
+// satisfy this, as their tests pin.
 func New(points [][]float32, dist vecmath.DistanceFunc, cfg Config) *Graph {
 	g := &Graph{
 		points: points,
@@ -197,7 +250,11 @@ func (g *Graph) extOfInternal(i int32) int {
 // addNode inserts point i (already present in g.points) into the graph.
 func (g *Graph) addNode(i int) {
 	level := g.nextLevel()
-	g.nodes = append(g.nodes, node{layers: make([][]int32, level+1)})
+	layers := make([]adjList, level+1)
+	for l := range layers {
+		layers[l] = newAdjList(g.maxLinks(l))
+	}
+	g.nodes = append(g.nodes, node{layers: layers})
 	if g.entry < 0 {
 		g.entry = i
 		g.topLayer = level
@@ -214,10 +271,10 @@ func (g *Graph) addNode(i int) {
 		sc.reset(len(g.nodes), g.cfg.EfConstruction)
 		g.searchLayer(sc, q, ep, d, l, g.cfg.EfConstruction, 0)
 		ids, ds := sc.resExtract()
-		nbrs := g.selectNeighbors(ids, ds, g.maxLinks(l))
-		g.nodes[i].layers[l] = nbrs
-		for _, nb := range nbrs {
-			g.link(nb, int32(i), l)
+		own := &g.nodes[i].layers[l]
+		g.selectNeighbors(own, ids, ds, nil, 0, 0, g.maxLinks(l))
+		for k, nb := range own.ids {
+			g.link(nb, int32(i), own.ds[k], l)
 		}
 		if len(ids) > 0 {
 			ep, d = ids[0], ds[0]
@@ -230,69 +287,139 @@ func (g *Graph) addNode(i int) {
 	}
 }
 
-// selectNeighbors applies the HNSW neighbor-selection heuristic
-// (Algorithm 4): a candidate is kept only if it is closer to the query
-// than to every already-kept neighbor, which spreads links across
-// directions instead of bunching them in the nearest cluster. Pruned
-// candidates backfill remaining slots (keepPrunedConnections) so the
-// graph keeps its degree. ids/ds must be sorted by ascending distance.
-func (g *Graph) selectNeighbors(ids []int32, ds []float64, m int) []int32 {
-	out := make([]int32, 0, m)
-	var pruned []int32
-	for k, c := range ids {
-		if len(out) == m {
-			break
-		}
-		keep := true
-		for _, s := range out {
-			if g.dist(g.points[c], g.points[s]) < ds[k] {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out = append(out, c)
-		} else {
-			pruned = append(pruned, c)
-		}
-	}
-	for _, c := range pruned {
-		if len(out) == m {
-			break
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
-// link adds m to n's layer-l neighbor list, re-running the selection
-// heuristic when the list overflows its degree bound.
-func (g *Graph) link(n, m int32, l int) {
-	nbrs := append(g.nodes[n].layers[l], m)
+// link adds m, at distance dm from n, to n's layer-l neighbor list. When
+// the list overflows its degree bound, the selection heuristic re-runs
+// over the list and m, reusing every earlier decision that m cannot
+// change (see selectNeighbors). dm is the distance the new node computed
+// to n, reused as n's distance to it: New requires a symmetric dist.
+func (g *Graph) link(n, m int32, dm float64, l int) {
+	a := &g.nodes[n].layers[l]
 	limit := g.maxLinks(l)
-	if len(nbrs) > limit {
-		p := g.points[n]
-		ds := make([]float64, len(nbrs))
-		for k, nb := range nbrs {
-			ds[k] = g.dist(p, g.points[nb])
-		}
-		sortByDist(nbrs, ds)
-		nbrs = g.selectNeighbors(nbrs, ds, limit)
+	if len(a.ids) < limit {
+		a.ids = append(a.ids, m)
+		a.ds = append(a.ds, dm)
+		return
 	}
-	g.nodes[n].layers[l] = nbrs
+	s := &g.prune
+	s.ids = append(append(s.ids[:0], a.ids...), m)
+	s.ds = append(append(s.ds[:0], a.ds...), dm)
+	g.selectNeighbors(a, s.ids, s.ds, a.wit, a.kept, a.scanned, limit)
 }
 
-// sortByDist sorts ids and ds together by ascending distance (insertion
-// sort: lists here are at most 2M+1 long).
-func sortByDist(ids []int32, ds []float64) {
-	for i := 1; i < len(ds); i++ {
-		id, d := ids[i], ds[i]
-		j := i - 1
-		for j >= 0 && ds[j] > d {
-			ids[j+1], ds[j+1] = ids[j], ds[j]
-			j--
+// selectNeighbors applies the HNSW neighbor-selection heuristic
+// (Algorithm 4): a candidate is kept only if it is closer to the node than
+// to every already-kept neighbor, which spreads links across directions
+// instead of bunching them in the nearest cluster. Pruned candidates
+// backfill remaining slots (keepPrunedConnections) so the graph keeps its
+// degree. At most m links are written to dst in adjList order.
+//
+// Candidate c is ids[c] at distance ds[c]. Candidates below kept were kept
+// by an earlier pass and those in [kept, scanned) pruned, wit[c] naming
+// the candidate that pruned c; the rest are new. A decision depends only
+// on the candidates kept before it, so an earlier decision is re-checked
+// only where that set may have changed: a kept candidate against the
+// candidates newly kept in this pass, a pruned one only once its witness
+// is no longer kept. New candidates get the full check.
+func (g *Graph) selectNeighbors(dst *adjList, ids []int32, ds []float64, wit []int32, kept, scanned, m int) {
+	s := &g.prune
+	s.begin(ds, kept, scanned)
+	for _, c := range s.order {
+		if len(s.out) == m {
+			break
 		}
-		ids[j+1], ds[j+1] = id, d
+		var by int32
+		switch {
+		case int(c) < kept:
+			by = g.prunedBy(ids, c, ds[c], kept)
+		case int(c) < scanned:
+			if by = s.slot[wit[c]]; by < 0 {
+				by = g.prunedBy(ids, c, ds[c], 0)
+			}
+		default:
+			by = g.prunedBy(ids, c, ds[c], 0)
+		}
+		if by < 0 {
+			s.slot[c] = int32(len(s.out))
+			s.out = append(s.out, c)
+		} else {
+			s.pruned = append(s.pruned, c)
+			s.by = append(s.by, by)
+		}
+	}
+	dst.ids, dst.ds = dst.ids[:0], dst.ds[:0]
+	for _, c := range s.out {
+		dst.ids = append(dst.ids, ids[c])
+		dst.ds = append(dst.ds, ds[c])
+	}
+	dst.kept = len(dst.ids)
+	for k, c := range s.pruned {
+		if len(dst.ids) == m {
+			break
+		}
+		dst.wit[len(dst.ids)] = s.by[k]
+		dst.ids = append(dst.ids, ids[c])
+		dst.ds = append(dst.ds, ds[c])
+	}
+	dst.scanned = len(dst.ids)
+}
+
+// prunedBy returns the position in out of the first kept candidate, among
+// those numbered from on, that is closer to candidate c than the node is
+// (dc), or -1 when none is. from = kept skips the candidates an earlier
+// pass kept, leaving only those newly kept in this one.
+func (g *Graph) prunedBy(ids []int32, c int32, dc float64, from int) int32 {
+	s := &g.prune
+	p := g.points[ids[c]]
+	for j, o := range s.out {
+		if int(o) < from {
+			continue
+		}
+		if g.dist(p, g.points[ids[o]]) < dc {
+			return int32(j)
+		}
+	}
+	return -1
+}
+
+// pruneScratch holds the working state of one selectNeighbors pass.
+type pruneScratch struct {
+	ids []int32   // link: the overflowing list plus the new link
+	ds  []float64 // and their distances
+
+	order  []int32 // candidates by ascending distance, ties by index
+	slot   []int32 // candidate -> position in out, -1 while not kept
+	out    []int32 // kept candidates, in order
+	pruned []int32 // pruned candidates, in order
+	by     []int32 // position in out of the candidate that pruned pruned[k]
+}
+
+// begin resets the scratch for len(ds) candidates and orders them the way
+// a stable sort by distance would: the kept and pruned runs, each sorted
+// already, are merged with kept first on ties, and every later candidate
+// is inserted after all entries at an equal or smaller distance.
+func (s *pruneScratch) begin(ds []float64, kept, scanned int) {
+	s.order, s.slot = s.order[:0], s.slot[:0]
+	s.out, s.pruned, s.by = s.out[:0], s.pruned[:0], s.by[:0]
+	for i, j := 0, kept; i < kept || j < scanned; {
+		if j == scanned || (i < kept && ds[i] <= ds[j]) {
+			s.order = append(s.order, int32(i))
+			i++
+		} else {
+			s.order = append(s.order, int32(j))
+			j++
+		}
+	}
+	for c := scanned; c < len(ds); c++ {
+		s.order = append(s.order, int32(c))
+		k := len(s.order) - 1
+		for k > 0 && ds[s.order[k-1]] > ds[c] {
+			s.order[k] = s.order[k-1]
+			k--
+		}
+		s.order[k] = int32(c)
+	}
+	for range ds {
+		s.slot = append(s.slot, -1)
 	}
 }
 
@@ -303,7 +430,7 @@ func sortByDist(ids []int32, ds []float64) {
 func (g *Graph) greedyLayer(q []float32, ep int32, d float64, l int) (int32, float64) {
 	for {
 		improved := false
-		for _, nb := range g.nodes[ep].layers[l] {
+		for _, nb := range g.nodes[ep].layers[l].ids {
 			if nd := g.dist(q, g.points[nb]); nd < d {
 				ep, d = nb, nd
 				improved = true
@@ -362,7 +489,7 @@ func (g *Graph) searchLayer(sc *searchCtx, q []float32, ep int32, epDist float64
 			break
 		}
 		ci := sc.candPop()
-		for _, nb := range g.nodes[ci].layers[layer] {
+		for _, nb := range g.nodes[ci].layers[layer].ids {
 			if sc.seen(nb) {
 				continue
 			}
@@ -554,6 +681,15 @@ func lowerBound(a []int, x int) int {
 // The generation counter feeds the level hash, so the rebuilt graph's
 // levels are deterministic but independent of the pre-rebuild ones.
 func (g *Graph) rebuild() {
+	g.compact()
+	for i := range g.points {
+		g.addNode(i)
+	}
+}
+
+// compact drops the dead points and the whole graph and opens the next
+// generation, leaving the live points to be re-added in order.
+func (g *Graph) compact() {
 	live := make([][]float32, 0, g.Len())
 	for i, p := range g.points {
 		if g.extOfInternal(int32(i)) >= 0 {
@@ -567,9 +703,6 @@ func (g *Graph) rebuild() {
 	g.topLayer = 0
 	g.gen++
 	g.inserted = 0
-	for i := range g.points {
-		g.addNode(i)
-	}
 }
 
 // --- per-query scratch ---
@@ -610,10 +743,16 @@ type searchCtx struct {
 // result set. Growth happens here, outside the hot loop.
 func (sc *searchCtx) reset(n, ef int) {
 	if len(sc.visited) < n {
-		sc.visited = make([]uint32, n)
-		sc.candID = make([]int32, n)
-		sc.candD = make([]float64, n)
-		sc.out = make([]int32, n)
+		// Grow geometrically: the build adds one node per reset, and
+		// growing to exactly n would reallocate on every insertion.
+		size := 2 * len(sc.visited)
+		if size < n {
+			size = n
+		}
+		sc.visited = make([]uint32, size)
+		sc.candID = make([]int32, size)
+		sc.candD = make([]float64, size)
+		sc.out = make([]int32, size)
 		sc.epoch = 0
 	}
 	if len(sc.resID) < ef {

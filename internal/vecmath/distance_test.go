@@ -45,6 +45,54 @@ func TestCosineDistanceBoundedSymmetric(t *testing.T) {
 	}
 }
 
+// TestDistancesSymmetricBitForBit pins a precondition of the HNSW build,
+// which stores the distance a new node computed to a neighbor and reuses it
+// as the neighbor's distance back: swapping the arguments must give the
+// same float64, not merely a close one.
+func TestDistancesSymmetricBitForBit(t *testing.T) {
+	funcs := []struct {
+		name string
+		f    DistanceFunc
+	}{
+		{"CosineDistanceUnit", CosineDistanceUnit},
+		{"CosineDistance", CosineDistance},
+		{"EuclideanDistance", EuclideanDistance},
+	}
+	r := rand.New(rand.NewSource(1))
+	// mixed draws each coordinate from {-x, 0, +x}, with x Gaussian.
+	mixed := func(dim int) []float32 {
+		v := RandomGaussian(dim, 0, 2, r)
+		for i := range v {
+			switch r.Intn(3) {
+			case 0:
+				v[i] = 0
+			case 1:
+				v[i] = -v[i]
+			}
+		}
+		return v
+	}
+	var pairs [][2][]float32
+	for _, dim := range []int{1, 3, 7, 24, 199, 200} {
+		for k := 0; k < 50; k++ {
+			pairs = append(pairs,
+				[2][]float32{RandomUnit(dim, r), RandomUnit(dim, r)},
+				[2][]float32{RandomGaussian(dim, 0, 3, r), RandomGaussian(dim, 1, 0.5, r)},
+				[2][]float32{mixed(dim), mixed(dim)},
+			)
+		}
+		pairs = append(pairs, [2][]float32{make([]float32, dim), mixed(dim)})
+	}
+	for _, fn := range funcs {
+		for _, p := range pairs {
+			ab, ba := fn.f(p[0], p[1]), fn.f(p[1], p[0])
+			if math.Float64bits(ab) != math.Float64bits(ba) {
+				t.Fatalf("%s not symmetric at dim %d: %v vs %v", fn.name, len(p[0]), ab, ba)
+			}
+		}
+	}
+}
+
 // Property: on unit vectors the fast path agrees with the general one.
 func TestCosineDistanceUnitAgrees(t *testing.T) {
 	f := func(seed int64) bool {
