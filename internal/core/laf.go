@@ -144,9 +144,8 @@ type Config struct {
 	// WaveSize bounds the parallel engine's neighbor-discovery memory:
 	// range queries run in waves of this many and each wave's lists are
 	// dropped as soon as their facts are folded in. 0 selects
-	// index.DefaultWaveSize; a negative value buffers every neighbor list
-	// at once (the pre-wave engine, kept for comparison). Ignored by the
-	// sequential engine; labels are identical at every setting.
+	// index.DefaultWaveSize. Ignored by the sequential engine; labels are
+	// identical at every setting.
 	WaveSize int
 }
 

@@ -21,7 +21,8 @@ import "context"
 // DefaultWaveSize is the number of queries per wave when the caller passes
 // wave <= 0. Large enough that the per-wave pool fork/join is amortized
 // over thousands of distance computations, small enough that a wave's
-// in-flight neighbor lists stay far below the buffer-everything regime.
+// in-flight neighbor lists stay far below the O(Σ|N(q)|) of materializing
+// every result at once.
 const DefaultWaveSize = 1024
 
 // ResolveWaveSize normalizes a wave-size knob: values <= 0 select
@@ -138,51 +139,8 @@ func (b *BruteForce) BatchRangeSearchFuncWorkers(ctx context.Context, queries []
 	return nil
 }
 
-// CoverTree needs no native streaming path: its traversal is read-only
-// after construction and allocates per query either way, so the generic
-// BatchRangeSearchFunc fallback is its wave engine (the live set is still
-// bounded by one wave — each result is handed to fn and then dropped).
-
-// BatchApproxRangeSearchFunc streams the grid's ρ-approximate range queries
-// in waves, fn receiving each result as it is produced; ctx is checked at
-// each wave barrier.
-func (g *Grid) BatchApproxRangeSearchFunc(ctx context.Context, queries [][]float32, eps float64, workers, grain, wave int, fn func(i int, ids []int)) error {
-	wave = ResolveWaveSize(wave)
-	progress := waveProgress(ctx)
-	for base := 0; base < len(queries); base += wave {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := min(base+wave, len(queries))
-		lo := base
-		ForEach(hi-lo, workers, grain, func(k int) {
-			fn(lo+k, g.ApproxRangeSearch(queries[lo+k], eps))
-		})
-		if progress != nil {
-			progress(hi - lo)
-		}
-	}
-	return nil
-}
-
-// BatchRangeSearchApproxFunc streams the k-means tree's approximate range
-// queries in waves, fn receiving each result as it is produced; ctx is
-// checked at each wave barrier.
-func (t *KMeansTree) BatchRangeSearchApproxFunc(ctx context.Context, queries [][]float32, eps float64, workers, grain, wave int, fn func(i int, ids []int)) error {
-	wave = ResolveWaveSize(wave)
-	progress := waveProgress(ctx)
-	for base := 0; base < len(queries); base += wave {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := min(base+wave, len(queries))
-		lo := base
-		ForEach(hi-lo, workers, grain, func(k int) {
-			fn(lo+k, t.RangeSearchApprox(queries[lo+k], eps))
-		})
-		if progress != nil {
-			progress(hi - lo)
-		}
-	}
-	return nil
-}
+// CoverTree, Grid and KMeansTree (through their registry adapters) need no
+// native streaming path: their traversals are read-only after construction
+// and allocate per query either way, so the generic BatchRangeSearchFunc
+// fallback is their wave engine (the live set is still bounded by one
+// wave — each result is handed to fn and then dropped).

@@ -86,14 +86,15 @@ func TestGenericStreamingHelperCoverTree(t *testing.T) {
 }
 
 // TestGridAndKMeansTreeStreaming pins the approximate backends' streaming
-// wave paths to their serial queries.
+// wave paths — the generic BatchRangeSearchFunc loop over their registry
+// adapters — to their serial queries.
 func TestGridAndKMeansTreeStreaming(t *testing.T) {
 	pts := batchTestPoints(200, 6, 14)
 	queries := pts[:25]
 
 	g := NewGrid(pts, 1.0, 0.5)
 	got := collectStream(len(queries), func(fn func(int, []int)) {
-		g.BatchApproxRangeSearchFunc(context.Background(), queries, 1.0, 3, 4, 8, fn)
+		BatchRangeSearchFunc(context.Background(), gridSearcher{g}, queries, 1.0, 3, 4, 8, fn)
 	})
 	for i, q := range queries {
 		assertSameIDs(t, "grid", got[i], g.ApproxRangeSearch(q, 1.0))
@@ -101,7 +102,7 @@ func TestGridAndKMeansTreeStreaming(t *testing.T) {
 
 	kt := NewKMeansTree(pts, vecmath.CosineDistanceUnit, KMeansTreeConfig{Seed: 1, LeavesRatio: 1})
 	got = collectStream(len(queries), func(fn func(int, []int)) {
-		kt.BatchRangeSearchApproxFunc(context.Background(), queries, 0.8, 3, 4, 8, fn)
+		BatchRangeSearchFunc(context.Background(), kmeansTreeSearcher{kt}, queries, 0.8, 3, 4, 8, fn)
 	})
 	for i, q := range queries {
 		assertSameIDs(t, "kmeans tree", got[i], kt.RangeSearchApprox(q, 0.8))

@@ -194,6 +194,12 @@ func TestModelEndpointsErrors(t *testing.T) {
 		t.Errorf("bad eps fit: %d, want 400", code)
 	}
 	if code, _ := postJSON(t, base+"/v1/models", map[string]any{
+		"dataset": "mdl", "method": "dbscan",
+		"params": map[string]any{"eps": 0.5, "tau": 4, "workers": 2, "wave_size": -1},
+	}); code != http.StatusBadRequest {
+		t.Errorf("negative wave_size fit: %d, want 400", code)
+	}
+	if code, _ := postJSON(t, base+"/v1/models", map[string]any{
 		"dataset": "none", "method": "dbscan",
 		"params": map[string]any{"eps": 0.5, "tau": 4},
 	}); code != http.StatusNotFound {

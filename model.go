@@ -666,6 +666,12 @@ func loadModelV1(r io.Reader) (*Model, error) {
 			n, len(payload.Labels), len(payload.Core), len(payload.Forest))
 	}
 	pp := payload.Params
+	// Models saved before the buffer-everything engine was removed may
+	// carry WaveSize -1. Labels are identical at every wave size, so
+	// the default wave engine reproduces them.
+	if pp.WaveSize < 0 {
+		pp.WaveSize = 0
+	}
 	p := Params{
 		Eps: pp.Eps, Tau: pp.Tau, Alpha: pp.Alpha,
 		SampleFraction: pp.SampleFraction,

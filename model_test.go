@@ -436,6 +436,50 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadModelMapsNegativeWaveSize pins backward compatibility: a model
+// saved with WaveSize -1 (the removed buffer-everything engine) still
+// loads — the stored value maps to the default wave size — and its labels
+// and predictions equal the saved model's.
+func TestLoadModelMapsNegativeWaveSize(t *testing.T) {
+	train, test := modelTestData(t)
+	model, err := Fit(context.Background(), train.Vectors, MethodDBSCAN,
+		WithEps(0.4), WithTau(4), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model.params.WaveSize = -1
+	var buf bytes.Buffer
+	if err := model.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModel(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("LoadModel: %v", err)
+	}
+	if w := loaded.Params().WaveSize; w != 0 {
+		t.Errorf("loaded WaveSize = %d, want 0", w)
+	}
+	wantL, gotL := model.Labels(), loaded.Labels()
+	for i := range wantL {
+		if gotL[i] != wantL[i] {
+			t.Fatalf("label[%d] = %d after load, saved %d", i, gotL[i], wantL[i])
+		}
+	}
+	want, err := model.Predict(context.Background(), test.Vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := loaded.Predict(context.Background(), test.Vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("loaded model predicts %d for test[%d], saved model %d", got[i], i, want[i])
+		}
+	}
+}
+
 // TestLoadModelRejectsCorrupt pins the header discipline: wrong magic,
 // truncations at every interesting boundary, garbage payloads and unknown
 // future versions all fail loudly instead of decoding into garbage.
