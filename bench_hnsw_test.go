@@ -103,7 +103,7 @@ func hnswBuildEvals(b *testing.B, points [][]float32, p Params) int64 {
 			return vecmath.CosineDistanceUnit(x, y)
 		}
 		_, err := index.NewBackend(index.BackendHNSW, points, index.BackendOptions{
-			Metric: MetricCosine, Dist: count, Eps: p.Eps, EfSearch: p.EfSearch, Seed: p.Seed,
+			Metric: MetricCosine, Dist: count, EfSearch: p.EfSearch, Seed: p.Seed,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -3,6 +3,8 @@ package lafdbscan
 import (
 	"bytes"
 	"context"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,20 +18,19 @@ func TestIndexBackendResolution(t *testing.T) {
 		name    string
 		backend string
 		metric  DistanceMetric
-		haveEps bool
 		want    string
 		wantErr string
 	}{
-		{"empty is exact brute", "", MetricCosine, true, "brute", ""},
-		{"auto is hnsw", IndexBackendAuto, MetricCosine, true, "hnsw", ""},
-		{"auto without eps still hnsw", IndexBackendAuto, MetricEuclidean, false, "hnsw", ""},
-		{"explicit passthrough", "covertree", MetricCosine, false, "covertree", ""},
-		{"unknown name", "bogus", MetricCosine, true, "", "unknown index backend"},
-		{"grid cannot answer cosine", "grid", MetricCosine, true, "", "does not support metric"},
-		{"grid euclidean passes", "grid", MetricEuclidean, true, "grid", ""},
+		{"empty is exact brute", "", MetricCosine, "brute", ""},
+		{"auto is hnsw", IndexBackendAuto, MetricCosine, "hnsw", ""},
+		{"auto under euclidean is hnsw", IndexBackendAuto, MetricEuclidean, "hnsw", ""},
+		{"explicit passthrough", "hnsw", MetricEuclidean, "hnsw", ""},
+		{"unknown name", "bogus", MetricCosine, "", "unknown index backend"},
+		{"unregistered baseline tree", "covertree", MetricCosine, "", "unknown index backend"},
+		{"unregistered grid", "grid", MetricEuclidean, "", "unknown index backend"},
 	}
 	for _, c := range cases {
-		got, err := ResolveIndexBackend(c.backend, c.metric, c.haveEps)
+		got, err := ResolveIndexBackend(c.backend, c.metric)
 		if c.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Errorf("%s: err = %v, want containing %q", c.name, err, c.wantErr)
@@ -46,8 +47,8 @@ func TestIndexBackendResolution(t *testing.T) {
 	}
 
 	names := IndexBackends()
-	if len(names) < 5 {
-		t.Fatalf("IndexBackends() = %v, want the full registry", names)
+	if !slices.Equal(names, []string{"brute", "hnsw"}) {
+		t.Fatalf("IndexBackends() = %v, want [brute hnsw]", names)
 	}
 	for _, name := range names {
 		caps, ok := LookupIndexBackend(name)
@@ -214,5 +215,39 @@ func TestEntryPointsRejectBadBackend(t *testing.T) {
 	if _, err := Fit(context.Background(), pts, MethodDBSCAN,
 		WithEps(0.5), WithTau(2), WithEfSearch(-1)); err == nil {
 		t.Error("Fit accepted a negative EfSearch")
+	}
+}
+
+// TestReadmeBackendTableMatchesRegistry keeps the README's "Index
+// backends" table from drifting: its rows name exactly IndexBackends(),
+// in registry order.
+func TestReadmeBackendTableMatchesRegistry(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "\n## Index backends\n")
+	if !ok {
+		t.Fatal(`README has no "## Index backends" section`)
+	}
+	// The table is the first run of "|" lines; its data rows start with a
+	// backtick-quoted backend name.
+	var rows []string
+	inTable := false
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		name := strings.TrimSpace(strings.Split(line, "|")[1])
+		if strings.HasPrefix(name, "`") {
+			rows = append(rows, strings.Trim(name, "`"))
+		}
+	}
+	if !slices.Equal(rows, IndexBackends()) {
+		t.Fatalf("README backend table lists %v, registry has %v", rows, IndexBackends())
 	}
 }

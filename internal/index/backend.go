@@ -7,8 +7,11 @@ import (
 	"lafdbscan/internal/vecmath"
 )
 
-// This file is the backend registry: every range-query structure in the
-// repository, addressable by name, with declared capabilities. The root
+// This file is the backend registry: the range-query structures the
+// clustering engines and the model share, addressable by name, with
+// declared capabilities. The baselines' own structures (the cover tree,
+// the k-means tree and the grid) stay private to their drivers: at the
+// paper's dimensionality they never beat the exact scan. The root
 // Params/Fit API, the lafserve dataset registry and both CLIs resolve
 // index construction through it instead of hardcoding one constructor,
 // so adding a backend (sharded, quantized, ...) means adding one entry
@@ -25,14 +28,6 @@ const (
 	// BackendHNSW is the layered proximity graph (approximate, sub-linear
 	// queries; see internal/index/hnsw).
 	BackendHNSW = "hnsw"
-	// BackendCoverTree is the exact metric tree BLOCK-DBSCAN uses.
-	BackendCoverTree = "covertree"
-	// BackendKMeansTree is the approximate FLANN-style tree KNN-BLOCK
-	// DBSCAN uses.
-	BackendKMeansTree = "kmeanstree"
-	// BackendGrid is the ρ-approximate cell grid (Euclidean only, needs
-	// the query radius at build time).
-	BackendGrid = "grid"
 )
 
 // Capabilities declare what a backend can honestly promise; resolution
@@ -41,17 +36,11 @@ type Capabilities struct {
 	// Exact: RangeSearch returns exactly the eps-neighborhood. Approximate
 	// backends may miss neighbors (they never invent them).
 	Exact bool `json:"exact"`
-	// Dynamic: implements DynamicIndex (Insert/Delete/DeleteMany).
-	Dynamic bool `json:"dynamic"`
 	// KNN: implements KNNSearcher.
 	KNN bool `json:"knn"`
 	// Cosine / Euclidean: the metrics the backend answers under.
 	Cosine    bool `json:"cosine"`
 	Euclidean bool `json:"euclidean"`
-	// NeedsEps: construction requires the query radius (the grid's cell
-	// side derives from it), so the backend is unavailable to callers that
-	// build one index for many radii.
-	NeedsEps bool `json:"needs_eps"`
 }
 
 // SupportsMetric reports whether the backend answers under m.
@@ -79,15 +68,6 @@ type BackendOptions struct {
 	// for bit, Dist(a, b) == Dist(b, a) exactly: the HNSW build reuses
 	// each distance in both directions (see hnsw.New).
 	Dist vecmath.DistanceFunc
-	// Eps is the query radius, required by NeedsEps backends.
-	Eps float64
-	// Rho is the grid's approximation factor.
-	Rho float64
-	// Base is the cover tree's expansion constant (0 = default 2.0).
-	Base float64
-	// Branching / LeavesRatio configure the k-means tree.
-	Branching   int
-	LeavesRatio float64
 	// M / EfConstruction / EfSearch configure the HNSW graph.
 	M              int
 	EfConstruction int
@@ -116,46 +96,16 @@ type backendSpec struct {
 
 var backendRegistry = []backendSpec{
 	{BackendBrute,
-		Capabilities{Exact: true, Dynamic: true, Cosine: true, Euclidean: true},
+		Capabilities{Exact: true, Cosine: true, Euclidean: true},
 		func(points [][]float32, o BackendOptions) (RangeSearcher, error) {
 			return NewBruteForce(points, o.distFunc()), nil
 		}},
 	{BackendHNSW,
-		Capabilities{Dynamic: true, KNN: true, Cosine: true, Euclidean: true},
+		Capabilities{KNN: true, Cosine: true, Euclidean: true},
 		func(points [][]float32, o BackendOptions) (RangeSearcher, error) {
 			return hnswSearcher{hnsw.New(points, o.distFunc(), hnsw.Config{
 				M: o.M, EfConstruction: o.EfConstruction, EfSearch: o.EfSearch, Seed: o.Seed,
 			})}, nil
-		}},
-	{BackendCoverTree,
-		Capabilities{Exact: true, Dynamic: true, Cosine: true, Euclidean: true},
-		func(points [][]float32, o BackendOptions) (RangeSearcher, error) {
-			base := o.Base
-			if base == 0 {
-				base = 2.0
-			}
-			if base <= 1 {
-				return nil, fmt.Errorf("index: cover tree base %v must exceed 1", base)
-			}
-			return coverTreeSearcher{NewCoverTree(points, o.distFunc(), base)}, nil
-		}},
-	{BackendKMeansTree,
-		Capabilities{Dynamic: true, KNN: true, Cosine: true, Euclidean: true},
-		func(points [][]float32, o BackendOptions) (RangeSearcher, error) {
-			return kmeansTreeSearcher{NewKMeansTree(points, o.distFunc(), KMeansTreeConfig{
-				Branching: o.Branching, LeavesRatio: o.LeavesRatio, Seed: o.Seed,
-			})}, nil
-		}},
-	{BackendGrid,
-		Capabilities{Dynamic: true, Euclidean: true, NeedsEps: true},
-		func(points [][]float32, o BackendOptions) (RangeSearcher, error) {
-			if o.Metric != vecmath.Euclidean {
-				return nil, fmt.Errorf("index: backend %q does not support metric %v", BackendGrid, o.Metric)
-			}
-			if o.Eps <= 0 {
-				return nil, fmt.Errorf("index: backend %q needs the query radius at build time (got eps %v)", BackendGrid, o.Eps)
-			}
-			return gridSearcher{NewGrid(points, o.Eps, o.Rho)}, nil
 		}},
 }
 
@@ -179,8 +129,8 @@ func LookupBackend(name string) (Capabilities, bool) {
 }
 
 // NewBackend builds the named backend over points. It fails on unknown
-// names, unsupported metrics and missing required options — the same
-// conditions ResolveBackend filters on, so a resolved name always builds.
+// names and unsupported metrics — the same conditions ResolveBackend
+// filters on, so a resolved name always builds.
 func NewBackend(name string, points [][]float32, o BackendOptions) (RangeSearcher, error) {
 	for _, s := range backendRegistry {
 		if s.name != name {
@@ -200,29 +150,13 @@ type Requirements struct {
 	// caller has not opted into approximation, preserving bit-identical
 	// labels).
 	Exact bool
-	// Dynamic demands DynamicIndex support.
-	Dynamic bool
-	// KNN demands KNNSearcher support.
-	KNN bool
 	// Metric is the distance the index must answer under.
 	Metric vecmath.Metric
-	// HaveEps: the caller can supply the query radius at build time, so
-	// NeedsEps backends are eligible.
-	HaveEps bool
 }
 
 // Satisfies reports whether capabilities c meet req.
 func (c Capabilities) Satisfies(req Requirements) bool {
 	if req.Exact && !c.Exact {
-		return false
-	}
-	if req.Dynamic && !c.Dynamic {
-		return false
-	}
-	if req.KNN && !c.KNN {
-		return false
-	}
-	if c.NeedsEps && !req.HaveEps {
 		return false
 	}
 	return c.SupportsMetric(req.Metric)
@@ -281,64 +215,8 @@ func (h hnswSearcher) BatchRangeSearchWorkers(queries [][]float32, eps float64, 
 	return out
 }
 
-// coverTreeSearcher exists only for symmetry in the registry builders;
-// CoverTree already implements the full contract.
-type coverTreeSearcher struct{ *CoverTree }
-
-// gridSearcher adapts the grid's ρ-approximate queries to the uniform
-// contract. With Rho 0 the answers are exact; with Rho > 0 they carry the
-// documented one-sided relaxation.
-type gridSearcher struct{ *Grid }
-
-func (g gridSearcher) RangeSearch(q []float32, eps float64) []int {
-	return g.ApproxRangeSearch(q, eps)
-}
-
-func (g gridSearcher) RangeCount(q []float32, eps float64) int {
-	return g.ApproxRangeCount(q, eps)
-}
-
-func (g gridSearcher) BatchRangeSearch(queries [][]float32, eps float64) [][]int {
-	return g.BatchApproxRangeSearch(queries, eps, 0, 0)
-}
-
-func (g gridSearcher) BatchRangeSearchWorkers(queries [][]float32, eps float64, workers, grain int) [][]int {
-	return g.BatchApproxRangeSearch(queries, eps, workers, grain)
-}
-
-// kmeansTreeSearcher adapts the k-means tree's approximate queries to the
-// uniform contract.
-type kmeansTreeSearcher struct{ *KMeansTree }
-
-func (t kmeansTreeSearcher) RangeSearch(q []float32, eps float64) []int {
-	return t.RangeSearchApprox(q, eps)
-}
-
-func (t kmeansTreeSearcher) RangeCount(q []float32, eps float64) int {
-	return len(t.RangeSearchApprox(q, eps))
-}
-
-func (t kmeansTreeSearcher) BatchRangeSearch(queries [][]float32, eps float64) [][]int {
-	return t.BatchRangeSearchApprox(queries, eps, 0, 0)
-}
-
-func (t kmeansTreeSearcher) BatchRangeSearchWorkers(queries [][]float32, eps float64, workers, grain int) [][]int {
-	return t.BatchRangeSearchApprox(queries, eps, workers, grain)
-}
-
 var (
 	_ RangeSearcher       = hnswSearcher{}
 	_ KNNSearcher         = hnswSearcher{}
-	_ DynamicIndex        = hnswSearcher{}
 	_ batchWorkerSearcher = hnswSearcher{}
-	_ RangeSearcher       = gridSearcher{}
-	_ DynamicIndex        = gridSearcher{}
-	_ batchWorkerSearcher = gridSearcher{}
-	_ RangeSearcher       = kmeansTreeSearcher{}
-	_ KNNSearcher         = kmeansTreeSearcher{}
-	_ DynamicIndex        = kmeansTreeSearcher{}
-	_ batchWorkerSearcher = kmeansTreeSearcher{}
-	_ RangeSearcher       = coverTreeSearcher{}
-	_ DynamicIndex        = coverTreeSearcher{}
-	_ batchWorkerSearcher = coverTreeSearcher{}
 )

@@ -10,7 +10,7 @@ import (
 
 func TestBackendsListing(t *testing.T) {
 	names := Backends()
-	want := []string{BackendBrute, BackendHNSW, BackendCoverTree, BackendKMeansTree, BackendGrid}
+	want := []string{BackendBrute, BackendHNSW}
 	if !slices.Equal(names, want) {
 		t.Fatalf("Backends() = %v, want %v", names, want)
 	}
@@ -19,62 +19,57 @@ func TestBackendsListing(t *testing.T) {
 			t.Fatalf("LookupBackend(%q) not found", n)
 		}
 	}
-	if _, ok := LookupBackend("faiss"); ok {
-		t.Fatal("LookupBackend accepted an unknown name")
+	for _, gone := range []string{"faiss", "covertree", "kmeanstree", "grid"} {
+		if _, ok := LookupBackend(gone); ok {
+			t.Fatalf("LookupBackend accepted the unregistered name %q", gone)
+		}
 	}
 }
 
 func TestBackendCapabilities(t *testing.T) {
 	brute, _ := LookupBackend(BackendBrute)
-	if !brute.Exact || !brute.Dynamic || brute.KNN || !brute.Cosine || !brute.Euclidean {
+	if !brute.Exact || brute.KNN || !brute.Cosine || !brute.Euclidean {
 		t.Fatalf("brute capabilities wrong: %+v", brute)
 	}
 	hnswCaps, _ := LookupBackend(BackendHNSW)
-	if hnswCaps.Exact || !hnswCaps.Dynamic || !hnswCaps.KNN || !hnswCaps.Cosine || !hnswCaps.Euclidean {
+	if hnswCaps.Exact || !hnswCaps.KNN || !hnswCaps.Cosine || !hnswCaps.Euclidean {
 		t.Fatalf("hnsw capabilities wrong: %+v", hnswCaps)
-	}
-	grid, _ := LookupBackend(BackendGrid)
-	if grid.Cosine || !grid.Euclidean || !grid.NeedsEps {
-		t.Fatalf("grid capabilities wrong: %+v", grid)
 	}
 }
 
 func TestNewBackendErrors(t *testing.T) {
 	pts := clusteredPoints(20, 8, 1)
-	if _, err := NewBackend("faiss", pts, BackendOptions{}); err == nil || !strings.Contains(err.Error(), "unknown backend") {
-		t.Fatalf("unknown backend error = %v", err)
+	for _, name := range []string{"faiss", "grid"} {
+		if _, err := NewBackend(name, pts, BackendOptions{}); err == nil || !strings.Contains(err.Error(), "unknown backend") {
+			t.Fatalf("%s: unknown backend error = %v", name, err)
+		}
 	}
-	// Metric-capability rejection: the grid answers Euclidean only.
-	if _, err := NewBackend(BackendGrid, pts, BackendOptions{Metric: vecmath.Cosine, Eps: 0.5}); err == nil ||
-		!strings.Contains(err.Error(), "does not support metric cosine") {
-		t.Fatalf("grid+cosine error = %v", err)
-	}
-	// NeedsEps rejection: no radius, no grid.
-	if _, err := NewBackend(BackendGrid, pts, BackendOptions{Metric: vecmath.Euclidean}); err == nil ||
-		!strings.Contains(err.Error(), "query radius") {
-		t.Fatalf("grid-without-eps error = %v", err)
+	// Metric-capability rejection: no backend answers an unknown metric.
+	if _, err := NewBackend(BackendBrute, pts, BackendOptions{Metric: vecmath.Metric(99)}); err == nil ||
+		!strings.Contains(err.Error(), "does not support metric") {
+		t.Fatalf("unknown-metric error = %v", err)
 	}
 }
 
 // TestEveryBackendBuildsAndAnswers exercises the registry end to end:
-// each backend builds under a supported configuration and answers a
-// self-query.
+// each backend builds under both metrics and answers a self-query.
 func TestEveryBackendBuildsAndAnswers(t *testing.T) {
 	pts := clusteredPoints(50, 8, 5)
-	for _, c := range conformanceCases() {
-		idx, err := NewBackend(c.backend, slices.Clone(pts), c.opts)
-		if err != nil {
-			t.Fatalf("building %s: %v", c.backend, err)
-		}
-		if idx.Len() != len(pts) {
-			t.Fatalf("%s: Len = %d, want %d", c.backend, idx.Len(), len(pts))
-		}
-		if ids := idx.RangeSearch(pts[0], 1e-6); !slices.Contains(ids, 0) {
-			t.Fatalf("%s: self-query missed: %v", c.backend, ids)
-		}
-		batch := idx.BatchRangeSearch(pts[:4], c.eps)
-		if len(batch) != 4 {
-			t.Fatalf("%s: batch returned %d results", c.backend, len(batch))
+	for _, name := range Backends() {
+		for _, m := range []vecmath.Metric{vecmath.Cosine, vecmath.Euclidean} {
+			idx, err := NewBackend(name, slices.Clone(pts), BackendOptions{Metric: m, Seed: 1})
+			if err != nil {
+				t.Fatalf("building %s under %v: %v", name, m, err)
+			}
+			if idx.Len() != len(pts) {
+				t.Fatalf("%s: Len = %d, want %d", name, idx.Len(), len(pts))
+			}
+			if ids := idx.RangeSearch(pts[0], 1e-6); !slices.Contains(ids, 0) {
+				t.Fatalf("%s: self-query missed: %v", name, ids)
+			}
+			if batch := idx.BatchRangeSearch(pts[:4], 0.4); len(batch) != 4 {
+				t.Fatalf("%s: batch returned %d results", name, len(batch))
+			}
 		}
 	}
 }
@@ -87,32 +82,20 @@ func TestResolveBackend(t *testing.T) {
 		t.Fatalf("exact default resolution = %q, %v", got, err)
 	}
 	// Dropping the exactness requirement opts into the graph.
-	got, err = ResolveBackend(nil, Requirements{Metric: vecmath.Cosine})
+	got, err = ResolveBackend(nil, Requirements{Metric: vecmath.Euclidean})
 	if err != nil || got != BackendHNSW {
 		t.Fatalf("approx default resolution = %q, %v", got, err)
 	}
-	// NeedsEps backends are skipped when the caller has no radius.
-	got, err = ResolveBackend([]string{BackendGrid, BackendBrute}, Requirements{Metric: vecmath.Euclidean})
-	if err != nil || got != BackendBrute {
-		t.Fatalf("grid-without-eps resolution = %q, %v", got, err)
-	}
-	got, err = ResolveBackend([]string{BackendGrid, BackendBrute}, Requirements{Metric: vecmath.Euclidean, HaveEps: true})
-	if err != nil || got != BackendGrid {
-		t.Fatalf("grid-with-eps resolution = %q, %v", got, err)
-	}
 	// A chain that cannot satisfy the requirements reports every rejection.
-	_, err = ResolveBackend([]string{BackendGrid}, Requirements{Metric: vecmath.Cosine})
-	if err == nil || !strings.Contains(err.Error(), "rejected [grid]") {
+	_, err = ResolveBackend([]string{BackendHNSW}, Requirements{Exact: true, Metric: vecmath.Cosine})
+	if err == nil || !strings.Contains(err.Error(), "rejected [hnsw]") {
 		t.Fatalf("exhausted-chain error = %v", err)
 	}
 	// Unknown names fail loudly rather than being skipped.
-	if _, err = ResolveBackend([]string{"faiss"}, Requirements{Metric: vecmath.Cosine}); err == nil ||
-		!strings.Contains(err.Error(), "unknown backend") {
-		t.Fatalf("unknown-chain error = %v", err)
-	}
-	// KNN-requiring resolution skips backends without KNN.
-	got, err = ResolveBackend([]string{BackendCoverTree, BackendKMeansTree}, Requirements{KNN: true, Metric: vecmath.Cosine})
-	if err != nil || got != BackendKMeansTree {
-		t.Fatalf("knn resolution = %q, %v", got, err)
+	for _, chain := range [][]string{{"faiss"}, {"covertree", BackendBrute}} {
+		if _, err = ResolveBackend(chain, Requirements{Metric: vecmath.Cosine}); err == nil ||
+			!strings.Contains(err.Error(), "unknown backend") {
+			t.Fatalf("chain %v: unknown-chain error = %v", chain, err)
+		}
 	}
 }

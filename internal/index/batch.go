@@ -7,7 +7,8 @@ import (
 )
 
 // This file is the batch/parallel substrate of the index layer: a shared
-// worker pool (ForEach) plus batch range-query entry points for every index.
+// worker pool (ForEach) plus batch range-query entry points for the
+// registry backends.
 // Batching moves the parallelism from inside one query (BruteForce's
 // per-scan sharding) to across queries, which is the right grain for the
 // parallel clustering drivers: each worker runs full serial queries, so
@@ -133,43 +134,6 @@ func (b *BruteForce) BatchRangeSearchWorkers(queries [][]float32, eps float64, w
 			}
 		}
 		out[i] = ids
-	})
-	return out
-}
-
-// BatchRangeSearch implements RangeSearcher for CoverTree. Tree traversal
-// is read-only after construction, so queries run concurrently without
-// synchronization.
-func (t *CoverTree) BatchRangeSearch(queries [][]float32, eps float64) [][]int {
-	return t.BatchRangeSearchWorkers(queries, eps, 0, 0)
-}
-
-// BatchRangeSearchWorkers answers many range queries over a fixed worker
-// pool of the given size.
-func (t *CoverTree) BatchRangeSearchWorkers(queries [][]float32, eps float64, workers, grain int) [][]int {
-	out := make([][]int, len(queries))
-	ForEach(len(queries), workers, grain, func(i int) {
-		out[i] = t.RangeSearch(queries[i], eps)
-	})
-	return out
-}
-
-// BatchApproxRangeSearch answers many ρ-approximate range queries over a
-// fixed worker pool. The grid is read-only after construction.
-func (g *Grid) BatchApproxRangeSearch(queries [][]float32, eps float64, workers, grain int) [][]int {
-	out := make([][]int, len(queries))
-	ForEach(len(queries), workers, grain, func(i int) {
-		out[i] = g.ApproxRangeSearch(queries[i], eps)
-	})
-	return out
-}
-
-// BatchRangeSearchApprox answers many approximate range queries over a
-// fixed worker pool. The tree is read-only after construction.
-func (t *KMeansTree) BatchRangeSearchApprox(queries [][]float32, eps float64, workers, grain int) [][]int {
-	out := make([][]int, len(queries))
-	ForEach(len(queries), workers, grain, func(i int) {
-		out[i] = t.RangeSearchApprox(queries[i], eps)
 	})
 	return out
 }

@@ -71,9 +71,19 @@ func TestBruteForceBatchCountsQueries(t *testing.T) {
 	}
 }
 
+// coverTreeSearcher gives the static cover tree the RangeSearcher face the
+// generic batch helpers take. It has no native batch or streaming path, so
+// BatchRangeSearch and BatchRangeSearchFunc serve it through their
+// per-query fallback loops.
+type coverTreeSearcher struct{ *CoverTree }
+
+func (c coverTreeSearcher) BatchRangeSearch(queries [][]float32, eps float64) [][]int {
+	return BatchRangeSearch(c, queries, eps, 0, 0)
+}
+
 func TestCoverTreeBatchMatchesSerial(t *testing.T) {
 	pts := batchTestPoints(200, 8, 3)
-	ct := NewCoverTree(pts, vecmath.EuclideanDistance, 2.0)
+	ct := coverTreeSearcher{NewCoverTree(pts, vecmath.EuclideanDistance, 2.0)}
 	queries := pts[:40]
 	const eps = 1.0
 	batch := ct.BatchRangeSearch(queries, eps)
@@ -93,7 +103,7 @@ func TestCoverTreeBatchMatchesSerial(t *testing.T) {
 
 func TestGenericBatchRangeSearchHelper(t *testing.T) {
 	pts := batchTestPoints(150, 8, 4)
-	ct := NewCoverTree(pts, vecmath.EuclideanDistance, 2.0)
+	ct := coverTreeSearcher{NewCoverTree(pts, vecmath.EuclideanDistance, 2.0)}
 	for _, workers := range []int{0, 1, 4} {
 		batch := BatchRangeSearch(ct, pts[:20], 1.0, workers, 4)
 		for i := range batch {
@@ -101,25 +111,6 @@ func TestGenericBatchRangeSearchHelper(t *testing.T) {
 			if len(batch[i]) != len(want) {
 				t.Fatalf("workers=%d query %d: %d ids, want %d", workers, i, len(batch[i]), len(want))
 			}
-		}
-	}
-}
-
-func TestGridAndKMeansTreeBatch(t *testing.T) {
-	pts := batchTestPoints(200, 6, 5)
-	g := NewGrid(pts, 1.0, 0.5)
-	queries := pts[:25]
-	gb := g.BatchApproxRangeSearch(queries, 1.0, 3, 4)
-	for i, q := range queries {
-		if len(gb[i]) != len(g.ApproxRangeSearch(q, 1.0)) {
-			t.Fatalf("grid query %d differs from serial", i)
-		}
-	}
-	kt := NewKMeansTree(pts, vecmath.CosineDistanceUnit, KMeansTreeConfig{Seed: 1, LeavesRatio: 1})
-	kb := kt.BatchRangeSearchApprox(queries, 0.8, 3, 4)
-	for i, q := range queries {
-		if len(kb[i]) != len(kt.RangeSearchApprox(q, 0.8)) {
-			t.Fatalf("kmeans-tree query %d differs from serial", i)
 		}
 	}
 }

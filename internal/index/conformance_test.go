@@ -5,50 +5,93 @@ import (
 	"slices"
 	"testing"
 
+	"lafdbscan/internal/dataset"
 	"lafdbscan/internal/vecmath"
 )
 
-// This file is the shared DynamicIndex conformance suite: one scripted
-// battery of insert/delete/DeleteMany checks, run against every
-// registered backend through the registry itself. A backend declares
-// Exact and gets held to full equivalence with a fresh brute-force scan
-// after every mutation; an approximate backend is held to the honest
-// subset of that — sound answers (every reported id is a true neighbor
-// of the compacted live set), exact Len bookkeeping, self-findability of
-// every live point, and a recall floor. Configurations are chosen so
-// approximate structures that have an exact setting (k-means tree at
-// LeavesRatio 1, grid at Rho 0) are exercised as exact.
+// This file is the index layer's conformance suite, in two parts:
+//
+//   - exactness: every registered backend that declares Exact answers set
+//     for set like a brute-force scan, on small synthetic clusters and on
+//     GloVe-like 200-d data at the paper's eps 0.5 — the input on which a
+//     cover tree under cosine distance (which breaks the triangle
+//     inequality its pruning assumes) misses neighbors;
+//   - mutation: BruteForce, the only mutable index, is driven through a
+//     scripted Insert/Delete/DeleteMany battery and held to a fresh scan
+//     over the mirrored live point set.
 
-// conformanceCase configures one backend run of the suite.
-type conformanceCase struct {
-	backend string
-	exact   bool
-	opts    BackendOptions
-	eps     float64 // query radius under opts.Metric
+// exactInput is one dataset the exactness check runs on.
+type exactInput struct {
+	name   string
+	pts    [][]float32
+	metric vecmath.Metric
+	eps    float64
 }
 
-func conformanceCases() []conformanceCase {
-	return []conformanceCase{
-		{BackendBrute, true, BackendOptions{Metric: vecmath.Cosine}, 0.4},
-		{BackendCoverTree, true, BackendOptions{Metric: vecmath.Cosine}, 0.4},
-		// LeavesRatio 1 examines every leaf: the approximate tree's exact
-		// configuration, so the conformance bar is full equivalence.
-		{BackendKMeansTree, true, BackendOptions{Metric: vecmath.Cosine, LeavesRatio: 1.0, Seed: 1}, 0.4},
-		// Rho 0 disables the grid's relaxation: exact under Euclidean.
-		{BackendGrid, true, BackendOptions{Metric: vecmath.Euclidean, Eps: 0.5}, 0.5},
-		{BackendHNSW, false, BackendOptions{Metric: vecmath.Cosine, Seed: 1}, 0.4},
+// TestExactBackendsMatchBrute holds every backend that declares Exact to
+// the brute-force answer, query for query, under every metric it supports.
+func TestExactBackendsMatchBrute(t *testing.T) {
+	glove := dataset.GloVeLike(2000, 1).Vectors
+	if testing.Short() {
+		glove = glove[:500]
+	}
+	inputs := []exactInput{
+		{"clusters-cosine", clusteredPoints(300, 16, 1), vecmath.Cosine, 0.4},
+		{"clusters-euclidean", clusteredPoints(300, 16, 2), vecmath.Euclidean, 0.5},
+		{"glove200-cosine", glove, vecmath.Cosine, 0.5},
+	}
+	for _, name := range Backends() {
+		caps, _ := LookupBackend(name)
+		if !caps.Exact {
+			continue
+		}
+		for _, in := range inputs {
+			if !caps.SupportsMetric(in.metric) {
+				continue
+			}
+			t.Run(name+"/"+in.name, func(t *testing.T) {
+				opts := BackendOptions{Metric: in.metric}
+				idx, err := NewBackend(name, in.pts, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				truth := NewBruteForce(in.pts, opts.distFunc())
+				want := truth.BatchRangeSearch(in.pts, in.eps)
+				got := idx.BatchRangeSearch(in.pts, in.eps)
+				missed, extra := 0, 0
+				for i := range in.pts {
+					w, g := sortedCopy(want[i]), sortedCopy(got[i])
+					for _, id := range w {
+						if _, ok := slices.BinarySearch(g, id); !ok {
+							missed++
+						}
+					}
+					for _, id := range g {
+						if _, ok := slices.BinarySearch(w, id); !ok {
+							extra++
+						}
+					}
+				}
+				if missed+extra > 0 {
+					t.Fatalf("%s declares Exact but missed %d and invented %d neighbors over %d queries",
+						name, missed, extra, len(in.pts))
+				}
+				for _, q := range in.pts[:20] {
+					if n, w := idx.RangeCount(q, in.eps), truth.RangeCount(q, in.eps); n != w {
+						t.Fatalf("RangeCount = %d, want %d", n, w)
+					}
+				}
+			})
+		}
 	}
 }
 
-func (c conformanceCase) truthIndex(pts [][]float32) *BruteForce {
-	return NewBruteForce(pts, c.opts.distFunc())
-}
+// mutationEps is the cosine query radius of the mutation battery.
+const mutationEps = 0.4
 
-// applyOps drives a DynamicIndex through a scripted mutation sequence and
-// mirrors it on a plain slice, returning the expected live point set. The
-// script crosses the trees' rebuild threshold repeatedly, so the
-// rebuild-threshold path is part of conformance, not a special case.
-func applyOps(t *testing.T, idx DynamicIndex, pts [][]float32, seed int64) [][]float32 {
+// applyOps drives the index through a scripted mutation sequence and
+// mirrors it on a plain slice, returning the expected live point set.
+func applyOps(t *testing.T, idx *BruteForce, pts [][]float32, seed int64) [][]float32 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	mirror := slices.Clone(pts)
@@ -69,213 +112,81 @@ func applyOps(t *testing.T, idx DynamicIndex, pts [][]float32, seed int64) [][]f
 	return mirror
 }
 
-// checkAnswers holds a mutated index to the conformance bar against the
-// live point set.
-func checkAnswers(t *testing.T, c conformanceCase, idx RangeSearcher, mirror [][]float32) {
+// checkAnswers holds a mutated index to a fresh scan over the live set:
+// the same ids and counts, and every live point findable by its own query.
+func checkAnswers(t *testing.T, idx *BruteForce, mirror [][]float32) {
 	t.Helper()
-	dist := c.opts.distFunc()
-	truth := c.truthIndex(mirror)
-	found, want := 0, 0
+	if idx.Len() != len(mirror) {
+		t.Fatalf("Len = %d, want %d", idx.Len(), len(mirror))
+	}
+	truth := NewBruteForce(mirror, vecmath.CosineDistanceUnit)
 	for _, q := range mirror[:min(20, len(mirror))] {
-		got := idx.RangeSearch(q, c.eps)
-		exact := truth.RangeSearch(q, c.eps)
-		if c.exact {
-			if !equalIDs(got, exact) {
-				t.Fatalf("%s: exact backend diverged from brute force: %v vs %v", c.backend, got, exact)
-			}
-			if n := idx.RangeCount(q, c.eps); n != len(exact) {
-				t.Fatalf("%s: RangeCount = %d, want %d", c.backend, n, len(exact))
-			}
-		} else {
-			for _, id := range got {
-				if id < 0 || id >= len(mirror) {
-					t.Fatalf("%s: out-of-range id %d (live set %d)", c.backend, id, len(mirror))
-				}
-				if d := dist(q, mirror[id]); d >= c.eps {
-					t.Fatalf("%s: reported id %d at distance %v >= eps: compaction broke", c.backend, id, d)
-				}
-			}
-			sorted := sortedCopy(got)
-			for _, id := range exact {
-				if _, ok := slices.BinarySearch(sorted, id); ok {
-					found++
-				}
-			}
-			want += len(exact)
+		got := idx.RangeSearch(q, mutationEps)
+		exact := truth.RangeSearch(q, mutationEps)
+		if !equalIDs(got, exact) {
+			t.Fatalf("mutated index diverged from a fresh scan: %v vs %v", got, exact)
+		}
+		if n := idx.RangeCount(q, mutationEps); n != len(exact) {
+			t.Fatalf("RangeCount = %d, want %d", n, len(exact))
 		}
 	}
-	if !c.exact && want > 0 && float64(found) < 0.9*float64(want) {
-		t.Fatalf("%s: recall %d/%d fell under 0.9 after mutations", c.backend, found, want)
-	}
-	// Every live point must find itself under a near-zero radius — the
-	// strongest findability guarantee exact and approximate backends share.
 	for i, q := range mirror {
 		if ids := idx.RangeSearch(q, 1e-6); !slices.Contains(ids, i) {
-			t.Fatalf("%s: live point %d not found by its own query: %v", c.backend, i, ids)
+			t.Fatalf("live point %d not found by its own query: %v", i, ids)
 		}
 	}
 }
 
-// TestDynamicConformance runs the scripted mutation battery against every
-// registered backend: compacting-id semantics, Len bookkeeping and
-// post-mutation answers, with rebuild thresholds crossed along the way.
+// TestDynamicConformance runs the scripted mutation battery: compacting-id
+// semantics, Len bookkeeping and post-mutation answers.
 func TestDynamicConformance(t *testing.T) {
-	for _, c := range conformanceCases() {
-		c := c
-		t.Run(c.backend, func(t *testing.T) {
-			pts := clusteredPoints(60, 16, 1)
-			built, err := NewBackend(c.backend, slices.Clone(pts), c.opts)
-			if err != nil {
-				t.Fatalf("building %s: %v", c.backend, err)
-			}
-			dyn, ok := built.(DynamicIndex)
-			if !ok {
-				t.Fatalf("%s does not implement DynamicIndex", c.backend)
-			}
-			mirror := applyOps(t, dyn, pts, 2)
-			if built.Len() != len(mirror) {
-				t.Fatalf("Len = %d, want %d", built.Len(), len(mirror))
-			}
-			checkAnswers(t, c, built, mirror)
-		})
-	}
+	t.Run(BackendBrute, func(t *testing.T) {
+		pts := clusteredPoints(60, 16, 1)
+		idx := NewBruteForce(slices.Clone(pts), vecmath.CosineDistanceUnit)
+		checkAnswers(t, idx, applyOps(t, idx, pts, 2))
+	})
 }
 
-// TestDeleteManyConformance pins the batch-deletion path of every
-// backend: one DeleteMany call must leave the index answering for the
-// surviving, renumbered point set.
+// TestDeleteManyConformance pins the batch-deletion path: one DeleteMany
+// call must leave the index answering for the surviving, renumbered point
+// set.
 func TestDeleteManyConformance(t *testing.T) {
-	for _, c := range conformanceCases() {
-		c := c
-		t.Run(c.backend, func(t *testing.T) {
-			pts := clusteredPoints(80, 12, 21)
-			rng := rand.New(rand.NewSource(22))
-			ids := rng.Perm(len(pts))[:25] // 25/80 crosses the rebuild threshold
-			slices.Sort(ids)
-			mirror := make([][]float32, 0, len(pts)-len(ids))
-			for i, p := range pts {
-				if !slices.Contains(ids, i) {
-					mirror = append(mirror, p)
-				}
+	t.Run(BackendBrute, func(t *testing.T) {
+		pts := clusteredPoints(80, 12, 21)
+		rng := rand.New(rand.NewSource(22))
+		ids := rng.Perm(len(pts))[:25]
+		slices.Sort(ids)
+		mirror := make([][]float32, 0, len(pts)-len(ids))
+		for i, p := range pts {
+			if !slices.Contains(ids, i) {
+				mirror = append(mirror, p)
 			}
-			built, err := NewBackend(c.backend, slices.Clone(pts), c.opts)
-			if err != nil {
-				t.Fatalf("building %s: %v", c.backend, err)
-			}
-			built.(DynamicIndex).DeleteMany(slices.Clone(ids))
-			if built.Len() != len(mirror) {
-				t.Fatalf("Len = %d, want %d", built.Len(), len(mirror))
-			}
-			checkAnswers(t, c, built, mirror)
-		})
-	}
+		}
+		idx := NewBruteForce(slices.Clone(pts), vecmath.CosineDistanceUnit)
+		idx.DeleteMany(slices.Clone(ids))
+		checkAnswers(t, idx, mirror)
+	})
 }
 
 // TestDeleteManyMatchesDeleteLoop pins DeleteMany against the per-id
-// Delete loop it replaces, highest id first, on every backend.
+// Delete loop it replaces, highest id first.
 func TestDeleteManyMatchesDeleteLoop(t *testing.T) {
-	ids := []int{3, 10, 11, 30, 59}
-	for _, c := range conformanceCases() {
-		c := c
-		t.Run(c.backend, func(t *testing.T) {
-			pts := clusteredPoints(60, 12, 29)
-			batch, err := NewBackend(c.backend, slices.Clone(pts), c.opts)
-			if err != nil {
-				t.Fatalf("building %s: %v", c.backend, err)
-			}
-			batch.(DynamicIndex).DeleteMany(slices.Clone(ids))
-			loop, err := NewBackend(c.backend, slices.Clone(pts), c.opts)
-			if err != nil {
-				t.Fatalf("building %s: %v", c.backend, err)
-			}
-			for i := len(ids) - 1; i >= 0; i-- {
-				loop.(DynamicIndex).Delete(ids[i])
-			}
-			if batch.Len() != loop.Len() {
-				t.Fatalf("Len diverged: %d vs %d", batch.Len(), loop.Len())
-			}
-			mirror := slices.Clone(pts)
-			for i := len(ids) - 1; i >= 0; i-- {
-				mirror = slices.Delete(mirror, ids[i], ids[i]+1)
-			}
-			// Self-queries give a deterministic comparison that is valid
-			// for approximate backends too (an index must always find an
-			// indexed point at radius ~0).
-			for i, q := range mirror[:20] {
-				a := batch.RangeSearch(q, 1e-6)
-				b := loop.RangeSearch(q, 1e-6)
-				if !slices.Contains(a, i) || !slices.Contains(b, i) {
-					t.Fatalf("point %d lost: batch=%v loop=%v", i, a, b)
-				}
-			}
-		})
-	}
-}
-
-// TestGridDynamicMatchesFresh keeps the grid-specific structural check
-// from the old per-index tests: mutated cells must match a fresh build
-// (including dropped empty cells), at a non-zero Rho.
-func TestGridDynamicMatchesFresh(t *testing.T) {
-	pts := clusteredPoints(60, 8, 3)
-	g := NewGrid(slices.Clone(pts), 0.5, 1.0)
-	mirror := applyOps(t, g, pts, 4)
-	fresh := NewGrid(mirror, 0.5, 1.0)
-	if g.Len() != fresh.Len() {
-		t.Fatalf("Len = %d, want %d", g.Len(), fresh.Len())
-	}
-	if g.NumCells() != fresh.NumCells() {
-		t.Fatalf("NumCells = %d, want %d (empty cells must be dropped)", g.NumCells(), fresh.NumCells())
-	}
-	for _, q := range mirror[:20] {
-		if got, want := g.ApproxRangeSearch(q, 0.5), fresh.ApproxRangeSearch(q, 0.5); !equalIDs(got, want) {
-			t.Fatalf("dynamic grid diverged: %v vs %v", got, want)
+	t.Run(BackendBrute, func(t *testing.T) {
+		ids := []int{3, 10, 11, 30, 59}
+		pts := clusteredPoints(60, 12, 29)
+		batch := NewBruteForce(slices.Clone(pts), vecmath.CosineDistanceUnit)
+		batch.DeleteMany(slices.Clone(ids))
+		loop := NewBruteForce(slices.Clone(pts), vecmath.CosineDistanceUnit)
+		for i := len(ids) - 1; i >= 0; i-- {
+			loop.Delete(ids[i])
 		}
-		if got, want := g.ApproxRangeCount(q, 0.5), fresh.ApproxRangeCount(q, 0.5); got != want {
-			t.Fatalf("dynamic grid count diverged: %d vs %d", got, want)
+		if batch.Len() != loop.Len() {
+			t.Fatalf("Len diverged: %d vs %d", batch.Len(), loop.Len())
 		}
-	}
-}
-
-// TestCoverTreeNearestAfterRebuild keeps the cover-tree-specific check:
-// NearestNeighbor answers in the compacted numbering after the rebuild
-// threshold has been crossed.
-func TestCoverTreeNearestAfterRebuild(t *testing.T) {
-	pts := clusteredPoints(40, 8, 7)
-	ct := NewCoverTree(slices.Clone(pts), vecmath.CosineDistanceUnit, 2.0)
-	mirror := slices.Clone(pts)
-	for i := 0; i < 20; i++ { // 50% deleted: crosses the 25% threshold twice
-		ct.Delete(0)
-		mirror = mirror[1:]
-	}
-	truth := NewBruteForce(mirror, vecmath.CosineDistanceUnit)
-	for _, q := range mirror {
-		if got, want := ct.RangeSearch(q, 0.5), truth.RangeSearch(q, 0.5); !equalIDs(got, want) {
-			t.Fatalf("post-rebuild cover tree diverged: %v vs %v", got, want)
+		for _, q := range pts[:20] {
+			if a, b := batch.RangeSearch(q, mutationEps), loop.RangeSearch(q, mutationEps); !equalIDs(a, b) {
+				t.Fatalf("DeleteMany vs Delete loop diverged: %v vs %v", a, b)
+			}
 		}
-	}
-	if id, _ := ct.NearestNeighbor(mirror[0]); id < 0 || id >= len(mirror) {
-		t.Fatalf("NearestNeighbor returned out-of-range id %d", id)
-	}
-}
-
-// TestKMeansTreeRebuildMatchesFresh keeps the k-means-tree-specific
-// equivalence: a threshold-triggered rebuild is exactly a fresh build
-// (same configuration, same seed) over the live points.
-func TestKMeansTreeRebuildMatchesFresh(t *testing.T) {
-	pts := clusteredPoints(60, 16, 11)
-	cfg := KMeansTreeConfig{Seed: 2, LeavesRatio: 0.6}
-	km := NewKMeansTree(slices.Clone(pts), vecmath.CosineDistanceUnit, cfg)
-	mirror := slices.Clone(pts)
-	extra := clusteredPoints(40, 16, 12) // 40/100 > 1/4: forces a rebuild
-	km.Insert(extra)
-	mirror = append(mirror, extra...)
-	if km.overlaySize() != 0 {
-		t.Fatalf("overlay not cleared by rebuild: %d", km.overlaySize())
-	}
-	fresh := NewKMeansTree(mirror, vecmath.CosineDistanceUnit, cfg)
-	for _, q := range mirror[:30] {
-		if got, want := km.RangeSearchApprox(q, 0.4), fresh.RangeSearchApprox(q, 0.4); !equalIDs(got, want) {
-			t.Fatalf("rebuilt tree diverged from fresh build: %v vs %v", got, want)
-		}
-	}
+	})
 }

@@ -22,10 +22,6 @@ type CoverTree struct {
 	base   float64
 	root   *ctNode
 	size   int
-	// tomb tracks dynamic deletions (see dynamic.go): deleted points keep
-	// their tree nodes but are skipped by every query until the rebuild
-	// threshold compacts them away.
-	tomb tombstones
 }
 
 type ctNode struct {
@@ -48,8 +44,8 @@ func NewCoverTree(points [][]float32, dist vecmath.DistanceFunc, base float64) *
 	return t
 }
 
-// Len returns the number of indexed (live) points.
-func (t *CoverTree) Len() int { return t.size - t.tomb.dead }
+// Len returns the number of indexed points.
+func (t *CoverTree) Len() int { return t.size }
 
 func (t *CoverTree) covDist(n *ctNode) float64 {
 	return math.Pow(t.base, float64(n.level))
@@ -102,26 +98,19 @@ func (t *CoverTree) insertInto(n *ctNode, idx int, dn float64) {
 	n.children = append(n.children, &ctNode{idx: idx, level: n.level - 1})
 }
 
-// RangeSearch implements RangeSearcher. Ids are reported in the compacted
-// (external) numbering; dynamically deleted points are skipped.
+// RangeSearch returns the ids of all indexed points p with d(q, p) < eps,
+// in unspecified order.
 func (t *CoverTree) RangeSearch(q []float32, eps float64) []int {
 	var out []int
-	t.rangeVisit(q, eps, func(idx int) {
-		if e := t.tomb.extOf(idx); e >= 0 {
-			out = append(out, e)
-		}
-	})
+	t.rangeVisit(q, eps, func(idx int) { out = append(out, idx) })
 	return out
 }
 
-// RangeCount implements RangeSearcher.
+// RangeCount returns len(RangeSearch(q, eps)) without materializing the
+// result.
 func (t *CoverTree) RangeCount(q []float32, eps float64) int {
 	count := 0
-	t.rangeVisit(q, eps, func(idx int) {
-		if t.tomb.extOf(idx) >= 0 {
-			count++
-		}
-	})
+	t.rangeVisit(q, eps, func(int) { count++ })
 	return count
 }
 
@@ -158,7 +147,7 @@ func (t *CoverTree) NearestNeighbor(q []float32) (int, float64) {
 	bestD := math.Inf(1)
 	var walk func(n *ctNode, dn float64)
 	walk = func(n *ctNode, dn float64) {
-		if dn < bestD && t.tomb.extOf(n.idx) >= 0 {
+		if dn < bestD {
 			bestD = dn
 			best = n.idx
 		}
@@ -170,10 +159,5 @@ func (t *CoverTree) NearestNeighbor(q []float32) (int, float64) {
 		}
 	}
 	walk(t.root, t.dist(q, t.points[t.root.idx]))
-	if best < 0 {
-		return -1, math.Inf(1)
-	}
-	return t.tomb.extOf(best), bestD
+	return best, bestD
 }
-
-var _ RangeSearcher = (*CoverTree)(nil)

@@ -1,8 +1,10 @@
 // Package index provides the range-query and KNN engines the clustering
-// algorithms are built on: a (parallel) brute-force scanner used by DBSCAN,
-// DBSCAN++ and the LAF variants, a cover tree used by BLOCK-DBSCAN, a
-// k-means tree used by KNN-BLOCK DBSCAN, and the sparse grid behind
-// ρ-approximate DBSCAN.
+// algorithms are built on. Two are registry backends (backend.go), shared
+// by DBSCAN, DBSCAN++, the LAF variants and the model: the exact
+// (parallel) brute-force scanner and the approximate HNSW graph
+// (internal/index/hnsw). The paper's baselines keep their own static
+// structures: a cover tree for BLOCK-DBSCAN, a k-means tree for KNN-BLOCK
+// DBSCAN and the sparse grid behind ρ-approximate DBSCAN.
 //
 // All engines operate over a slice of points identified by integer ids.
 // Range semantics follow the paper: a range query with radius eps returns
@@ -18,8 +20,7 @@
 //     bounded waves and hands each result to a callback, so the live set is
 //     O(WaveSize·avg|N|) regardless of dataset size; the wave barrier is
 //     also the cancellation and progress point;
-//   - the dynamic layer (dynamic.go): the DynamicIndex insert/delete
-//     contract behind online model maintenance — native mutation for
-//     BruteForce and Grid, a rebuild-threshold overlay for the trees — with
-//     compacting id semantics matching the point slice itself.
+//   - the mutation path (dynamic.go): BruteForce's Insert/Delete/DeleteMany,
+//     behind online model maintenance, with compacting id semantics
+//     matching the point slice itself.
 package index

@@ -4,11 +4,12 @@
 // number of indexed points.
 //
 // The graph is deliberately deterministic: node levels are generated from
-// a splitmix64 hash of (seed, rebuild generation, insertion counter)
-// rather than a shared RNG, so the same seed over the same insertion
-// sequence always produces the same graph — and therefore the same query
-// answers. That property is what lets the backend registry rebuild an
-// identical index when a persisted model is reloaded.
+// a splitmix64 hash of (seed, insertion counter) rather than a shared RNG,
+// so the same seed over the same points always produces the same graph —
+// and therefore the same query answers. That property is what lets the
+// backend registry rebuild an identical index when a persisted model is
+// reloaded. The graph is static once built: a model that mutates its
+// points swaps in the exact brute-force scan instead.
 //
 // Queries follow the standard two-phase search: greedy descent through
 // the upper layers to a layer-0 entry point, then best-first expansion
@@ -54,11 +55,6 @@ const (
 // of an adversarial hash value.
 const maxLevel = 30
 
-// rebuildFraction mirrors the tree indexes' overlay threshold: when dead
-// slots reach 1/4 of the graph the structure is rebuilt over the live
-// points (see internal/index/dynamic.go).
-const rebuildFraction = 4
-
 // Config shapes the speed/recall trade-off of the graph.
 type Config struct {
 	// M is the graph degree: each node keeps at most M links per upper
@@ -71,7 +67,7 @@ type Config struct {
 	// recall knob. Default 64.
 	EfSearch int
 	// Seed drives deterministic level generation: the same seed over the
-	// same insertion sequence yields the same graph.
+	// same points yields the same graph.
 	Seed int64
 }
 
@@ -122,9 +118,7 @@ func newAdjList(limit int) adjList {
 }
 
 // Graph is the index. Queries (RangeSearch, RangeCount, KNN) are safe for
-// concurrent use; mutations (Insert, Delete, DeleteMany, SetEfSearch)
-// must not run concurrently with queries or each other, matching the
-// contract of every other index in this repository.
+// concurrent use; SetEfSearch must not run concurrently with them.
 type Graph struct {
 	points [][]float32
 	dist   vecmath.DistanceFunc
@@ -132,28 +126,20 @@ type Graph struct {
 	mL     float64
 
 	nodes    []node
-	entry    int // internal id of the top-layer entry point, -1 when empty
+	entry    int // id of the top-layer entry point, -1 when empty
 	topLayer int
 
-	// tombstone remap, the same convention as internal/index: ext maps
-	// internal (grow-only) slots to external (compacted) ids, -1 dead,
-	// nil meaning identity.
-	ext  []int
-	dead int
-
 	inserted uint64 // insertion counter feeding level generation
-	gen      uint64 // rebuild generation, part of the level-hash domain
 
 	pool sync.Pool // *searchCtx
 
 	// prune is the selection heuristic's scratch, reused by every
-	// selectNeighbors call; mutations are single-goroutine by contract.
+	// selectNeighbors call; the build is single-goroutine.
 	prune pruneScratch
 }
 
 // New builds a graph over points with the given distance. The points
-// slice is retained and mutated by Insert/Delete, like every dynamic
-// index here.
+// slice is retained, not copied.
 //
 // dist must be symmetric bit for bit: dist(a, b) == dist(b, a) exactly.
 // The build stores the distance a new node computed to each neighbor and
@@ -175,8 +161,8 @@ func New(points [][]float32, dist vecmath.DistanceFunc, cfg Config) *Graph {
 	return g
 }
 
-// Len returns the number of indexed (live) points.
-func (g *Graph) Len() int { return len(g.points) - g.dead }
+// Len returns the number of indexed points.
+func (g *Graph) Len() int { return len(g.points) }
 
 // Config returns the normalized configuration the graph was built with.
 func (g *Graph) Config() Config { return g.cfg }
@@ -209,11 +195,11 @@ func splitmix64(x uint64) uint64 {
 }
 
 // nextLevel draws the level of the next inserted node from the geometric
-// distribution floor(-ln(u)·mL), hashing (seed, generation, counter) so
-// the sequence is a pure function of the insertion history.
+// distribution floor(-ln(u)·mL), hashing (seed, counter) so the sequence
+// is a pure function of the insertion order.
 func (g *Graph) nextLevel() int {
 	g.inserted++
-	h := splitmix64(uint64(g.cfg.Seed) ^ (g.gen * 0x9e3779b97f4a7c15))
+	h := splitmix64(uint64(g.cfg.Seed))
 	h = splitmix64(h ^ g.inserted)
 	u := float64(h>>11) / float64(uint64(1)<<53) // uniform in [0, 1)
 	level := int(-math.Log(1-u) * g.mL)
@@ -230,19 +216,6 @@ func (g *Graph) maxLinks(layer int) int {
 		return 2 * g.cfg.M
 	}
 	return g.cfg.M
-}
-
-// liveInternal reports whether internal slot i is not tombstoned.
-func (g *Graph) liveInternal(i int32) bool {
-	return g.ext == nil || g.ext[i] >= 0
-}
-
-// extOfInternal returns the external (compacted) id of internal slot i.
-func (g *Graph) extOfInternal(i int32) int {
-	if g.ext == nil {
-		return int(i)
-	}
-	return g.ext[i]
 }
 
 // --- construction ---
@@ -456,12 +429,12 @@ func (g *Graph) descend(q []float32) (int32, float64) {
 // searchLayer is the best-first expansion at one layer — the inner loop
 // of every query and every insertion, run once per visited node per
 // query. The frontier is a fixed-capacity min-heap, the result set a
-// fixed-capacity max-heap of the ef closest live points, and visited
+// fixed-capacity max-heap of the ef closest points, and visited
 // marks are epoch-stamped, so the loop performs no allocation: all
 // scratch lives in sc, sized by sc.reset before the call.
 //
 // With eps > 0 the expansion bound widens from worst-of-ef to
-// max(eps, worst-of-ef) and every visited live point within eps is
+// max(eps, worst-of-ef) and every visited point within eps is
 // recorded in sc.out — the range-query mode. With eps = 0 the bound is
 // the classic ef-limited one (KNN and construction mode).
 //
@@ -469,12 +442,10 @@ func (g *Graph) descend(q []float32) (int32, float64) {
 func (g *Graph) searchLayer(sc *searchCtx, q []float32, ep int32, epDist float64, layer, ef int, eps float64) {
 	sc.mark(ep)
 	sc.candPush(ep, epDist)
-	if g.liveInternal(ep) {
-		sc.resPush(ep, epDist, ef)
-		if epDist < eps {
-			sc.out[sc.outN] = ep
-			sc.outN++
-		}
+	sc.resPush(ep, epDist, ef)
+	if epDist < eps {
+		sc.out[sc.outN] = ep
+		sc.outN++
 	}
 	for sc.candN > 0 {
 		cd := sc.candD[0]
@@ -497,12 +468,10 @@ func (g *Graph) searchLayer(sc *searchCtx, q []float32, ep int32, epDist float64
 			d := g.dist(q, g.points[nb])
 			if sc.resN < ef || d < sc.resD[0] || d < eps {
 				sc.candPush(nb, d)
-				if g.liveInternal(nb) {
-					sc.resPush(nb, d, ef)
-					if d < eps {
-						sc.out[sc.outN] = nb
-						sc.outN++
-					}
+				sc.resPush(nb, d, ef)
+				if d < eps {
+					sc.out[sc.outN] = nb
+					sc.outN++
 				}
 			}
 		}
@@ -515,7 +484,7 @@ func (g *Graph) searchLayer(sc *searchCtx, q []float32, ep int32, epDist float64
 // regions the bounded expansion never reaches can be missed. Raising
 // EfSearch shrinks that miss rate.
 func (g *Graph) RangeSearch(q []float32, eps float64) []int {
-	if g.entry < 0 || g.Len() == 0 {
+	if g.entry < 0 {
 		return nil
 	}
 	sc := g.getCtx(g.cfg.EfSearch)
@@ -525,7 +494,7 @@ func (g *Graph) RangeSearch(q []float32, eps float64) []int {
 	if sc.outN > 0 {
 		out = make([]int, sc.outN)
 		for k := 0; k < sc.outN; k++ {
-			out[k] = g.extOfInternal(sc.out[k])
+			out[k] = int(sc.out[k])
 		}
 	}
 	g.putCtx(sc)
@@ -535,7 +504,7 @@ func (g *Graph) RangeSearch(q []float32, eps float64) []int {
 // RangeCount implements the RangeSearcher contract without materializing
 // ids.
 func (g *Graph) RangeCount(q []float32, eps float64) int {
-	if g.entry < 0 || g.Len() == 0 {
+	if g.entry < 0 {
 		return 0
 	}
 	sc := g.getCtx(g.cfg.EfSearch)
@@ -550,7 +519,7 @@ func (g *Graph) RangeCount(q []float32, eps float64) int {
 // neighbors sorted by ascending distance. The candidate list is
 // max(EfSearch, k) wide.
 func (g *Graph) KNN(q []float32, k int) ([]int, []float64) {
-	if g.entry < 0 || g.Len() == 0 || k <= 0 {
+	if g.entry < 0 || k <= 0 {
 		return nil, nil
 	}
 	ef := g.cfg.EfSearch
@@ -567,142 +536,11 @@ func (g *Graph) KNN(q []float32, k int) ([]int, []float64) {
 	outIDs := make([]int, len(ids))
 	outDs := make([]float64, len(ds))
 	for i := range ids {
-		outIDs[i] = g.extOfInternal(ids[i])
+		outIDs[i] = int(ids[i])
 		outDs[i] = ds[i]
 	}
 	g.putCtx(sc)
 	return outIDs, outDs
-}
-
-// --- dynamic mutations (see internal/index/dynamic.go for the id
-// conventions these mirror) ---
-
-// Insert appends vectors to the indexed set and threads them into the
-// graph natively; the new points get ids len..len+k-1 in order.
-func (g *Graph) Insert(vecs [][]float32) {
-	g.growExt(len(vecs))
-	for _, v := range vecs {
-		g.points = append(g.points, v)
-		g.addNode(len(g.points) - 1)
-	}
-}
-
-// Delete tombstones the point with the given (external) id — the graph
-// keeps its node as a waypoint but queries stop reporting it — and ids
-// above it shift down by one. When dead slots reach 1/rebuildFraction of
-// the graph it is rebuilt over the live points.
-func (g *Graph) Delete(id int) {
-	g.kill(id)
-	if g.dead*rebuildFraction >= len(g.nodes) {
-		g.rebuild()
-	}
-}
-
-// DeleteMany tombstones a sorted, duplicate-free batch of external ids in
-// one pass, then evaluates the rebuild threshold once.
-func (g *Graph) DeleteMany(ids []int) {
-	g.killMany(ids)
-	if g.dead*rebuildFraction >= len(g.nodes) {
-		g.rebuild()
-	}
-}
-
-// growExt registers k appended slots whose external ids continue the live
-// sequence (no-op while the mapping is still the identity).
-func (g *Graph) growExt(k int) {
-	if g.ext == nil {
-		return
-	}
-	live := g.Len()
-	for j := 0; j < k; j++ {
-		g.ext = append(g.ext, live+j)
-	}
-}
-
-// materializeExt switches from the identity mapping to an explicit one.
-func (g *Graph) materializeExt() {
-	if g.ext != nil {
-		return
-	}
-	g.ext = make([]int, len(g.points))
-	for i := range g.ext {
-		g.ext[i] = i
-	}
-}
-
-// kill marks the slot holding external id e dead and shifts every higher
-// external id down by one.
-func (g *Graph) kill(e int) {
-	g.materializeExt()
-	for i, x := range g.ext {
-		switch {
-		case x == e:
-			g.ext[i] = -1
-		case x > e:
-			g.ext[i] = x - 1
-		}
-	}
-	g.dead++
-}
-
-// killMany is kill over a sorted batch, applying the whole shift in one
-// pass over the slots.
-func (g *Graph) killMany(ids []int) {
-	g.materializeExt()
-	for i, x := range g.ext {
-		if x < 0 {
-			continue
-		}
-		j := lowerBound(ids, x)
-		if j < len(ids) && ids[j] == x {
-			g.ext[i] = -1
-			continue
-		}
-		g.ext[i] = x - j // j removed externals precede x
-	}
-	g.dead += len(ids)
-}
-
-// lowerBound returns the first index in sorted a with a[i] >= x.
-func lowerBound(a []int, x int) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if a[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// rebuild reconstructs the graph over the live points, compacting ids.
-// The generation counter feeds the level hash, so the rebuilt graph's
-// levels are deterministic but independent of the pre-rebuild ones.
-func (g *Graph) rebuild() {
-	g.compact()
-	for i := range g.points {
-		g.addNode(i)
-	}
-}
-
-// compact drops the dead points and the whole graph and opens the next
-// generation, leaving the live points to be re-added in order.
-func (g *Graph) compact() {
-	live := make([][]float32, 0, g.Len())
-	for i, p := range g.points {
-		if g.extOfInternal(int32(i)) >= 0 {
-			live = append(live, p)
-		}
-	}
-	g.points = live
-	g.ext, g.dead = nil, 0
-	g.nodes = g.nodes[:0]
-	g.entry = -1
-	g.topLayer = 0
-	g.gen++
-	g.inserted = 0
 }
 
 // --- per-query scratch ---
@@ -719,7 +557,7 @@ func (g *Graph) putCtx(sc *searchCtx) { g.pool.Put(sc) }
 
 // searchCtx is the allocation-free scratch of one query: epoch-stamped
 // visited marks, the candidate min-heap (frontier), the result max-heap
-// (ef closest live points) and the range-result buffer. Capacities are
+// (ef closest points) and the range-result buffer. Capacities are
 // bounds, not guesses: the visited guard admits each node into the
 // frontier and the range buffer at most once, so length-n arrays can
 // never overflow.

@@ -161,106 +161,6 @@ func TestKNN(t *testing.T) {
 	}
 }
 
-// TestDynamicMutations drives a scripted insert/delete mix and checks the
-// compacting-id semantics: Len tracks a mirrored slice, reported ids are
-// always valid external ids, and every reported id is a true neighbor of
-// the current live set.
-func TestDynamicMutations(t *testing.T) {
-	pts := clusteredPoints(80, 16, 21)
-	g := New(slices.Clone(pts), vecmath.CosineDistanceUnit, Config{Seed: 23})
-	mirror := slices.Clone(pts)
-	rng := rand.New(rand.NewSource(22))
-	for step := 0; step < 60; step++ {
-		if rng.Intn(2) == 0 && len(mirror) > 8 {
-			id := rng.Intn(len(mirror))
-			g.Delete(id)
-			mirror = slices.Delete(mirror, id, id+1)
-		} else {
-			batch := make([][]float32, 1+rng.Intn(3))
-			for i := range batch {
-				batch[i] = vecmath.RandomUnit(len(mirror[0]), rng)
-			}
-			g.Insert(batch)
-			mirror = append(mirror, batch...)
-		}
-		if g.Len() != len(mirror) {
-			t.Fatalf("step %d: Len = %d, want %d", step, g.Len(), len(mirror))
-		}
-	}
-	for _, q := range mirror[:20] {
-		for _, id := range g.RangeSearch(q, 0.4) {
-			if id < 0 || id >= len(mirror) {
-				t.Fatalf("out-of-range id %d (live set %d)", id, len(mirror))
-			}
-			if d := vecmath.CosineDistanceUnit(q, mirror[id]); d >= 0.4 {
-				t.Fatalf("id %d maps to distance %v >= eps: compaction broke", id, d)
-			}
-		}
-	}
-	// Every surviving point must find itself: the strongest findability
-	// check an approximate index can honestly promise.
-	for i, q := range mirror {
-		if ids := g.RangeSearch(q, 1e-6); !slices.Contains(ids, i) {
-			t.Fatalf("live point %d not found by its own query: %v", i, ids)
-		}
-	}
-}
-
-// TestDeleteRebuild forces the tombstone share over the rebuild threshold
-// and checks the compaction.
-func TestDeleteRebuild(t *testing.T) {
-	pts := clusteredPoints(40, 8, 25)
-	g := New(slices.Clone(pts), vecmath.CosineDistanceUnit, Config{Seed: 27})
-	mirror := slices.Clone(pts)
-	for i := 0; i < 20; i++ { // 50% deleted: crosses the 25% threshold twice
-		g.Delete(0)
-		mirror = mirror[1:]
-	}
-	if g.Len() != len(mirror) {
-		t.Fatalf("Len = %d, want %d", g.Len(), len(mirror))
-	}
-	if g.gen == 0 {
-		t.Fatal("50% deletion never crossed the rebuild threshold")
-	}
-	if len(g.nodes)-g.dead != len(mirror) {
-		t.Fatalf("slot bookkeeping broke: %d nodes, %d dead, %d live points", len(g.nodes), g.dead, len(mirror))
-	}
-	for i, q := range mirror {
-		if ids := g.RangeSearch(q, 1e-6); !slices.Contains(ids, i) {
-			t.Fatalf("post-rebuild point %d not found by its own query: %v", i, ids)
-		}
-	}
-}
-
-// TestDeleteManyMatchesDeleteLoop pins DeleteMany against the per-id loop
-// it replaces: both orders of the same batch leave identical live sets.
-func TestDeleteManyMatchesDeleteLoop(t *testing.T) {
-	pts := clusteredPoints(60, 12, 29)
-	ids := []int{3, 10, 11, 30, 59}
-
-	batch := New(slices.Clone(pts), vecmath.CosineDistanceUnit, Config{Seed: 31})
-	batch.DeleteMany(slices.Clone(ids))
-
-	loop := New(slices.Clone(pts), vecmath.CosineDistanceUnit, Config{Seed: 31})
-	for i := len(ids) - 1; i >= 0; i-- { // highest first, like the contract
-		loop.Delete(ids[i])
-	}
-	if batch.Len() != loop.Len() {
-		t.Fatalf("Len diverged: %d vs %d", batch.Len(), loop.Len())
-	}
-	mirror := slices.Clone(pts)
-	for i := len(ids) - 1; i >= 0; i-- {
-		mirror = slices.Delete(mirror, ids[i], ids[i]+1)
-	}
-	for _, q := range mirror[:20] {
-		a := sortedCopy(batch.RangeSearch(q, 1e-6))
-		b := sortedCopy(loop.RangeSearch(q, 1e-6))
-		if !slices.Equal(a, b) {
-			t.Fatalf("DeleteMany vs Delete loop diverged: %v vs %v", a, b)
-		}
-	}
-}
-
 // TestEmptyAndDegenerate covers the zero-value edges.
 func TestEmptyAndDegenerate(t *testing.T) {
 	g := New(nil, vecmath.CosineDistanceUnit, Config{})
@@ -271,12 +171,12 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	if ids := g.RangeSearch(q, 1); ids != nil {
 		t.Fatalf("empty RangeSearch = %v", ids)
 	}
-	g.Insert([][]float32{{1, 0}, {0, 1}})
-	if g.Len() != 2 {
-		t.Fatalf("Len after insert = %d", g.Len())
+	two := New([][]float32{{1, 0}, {0, 1}}, vecmath.CosineDistanceUnit, Config{})
+	if two.Len() != 2 {
+		t.Fatalf("two-point graph: Len = %d", two.Len())
 	}
-	if ids := g.RangeSearch(q, 0.5); !slices.Contains(ids, 0) {
-		t.Fatalf("inserted point not found: %v", ids)
+	if ids := two.RangeSearch(q, 0.5); !slices.Equal(ids, []int{0}) {
+		t.Fatalf("two-point RangeSearch = %v, want [0]", ids)
 	}
 }
 

@@ -25,13 +25,6 @@ type KMeansTree struct {
 	maxLeaf     int
 	root        *kmNode
 	numLeaves   int
-	// cfg is retained (normalized) so the dynamic rebuild fallback can
-	// reconstruct the tree deterministically; builtLen is how many points
-	// the current tree was built over (points beyond it are the linear
-	// overlay); tomb tracks dynamic deletions.
-	cfg      KMeansTreeConfig
-	builtLen int
-	tomb     tombstones
 }
 
 type kmNode struct {
@@ -70,29 +63,18 @@ func NewKMeansTree(points [][]float32, dist vecmath.DistanceFunc, cfg KMeansTree
 		branching:   cfg.Branching,
 		leavesRatio: cfg.LeavesRatio,
 		maxLeaf:     cfg.MaxLeaf,
-		cfg:         cfg,
 	}
-	t.buildTree()
-	return t
-}
-
-// buildTree (re)constructs the tree over the current points with the stored
-// configuration. The dynamic rebuild fallback shares it with construction,
-// so a rebuilt tree is identical to a freshly built one over the same
-// points.
-func (t *KMeansTree) buildTree() {
-	t.numLeaves = 0
-	rng := rand.New(rand.NewSource(t.cfg.Seed))
-	all := make([]int, len(t.points))
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	all := make([]int, len(points))
 	for i := range all {
 		all[i] = i
 	}
-	t.root = t.build(all, t.cfg.Iterations, rng)
-	t.builtLen = len(t.points)
+	t.root = t.build(all, cfg.Iterations, rng)
+	return t
 }
 
-// Len returns the number of indexed (live) points.
-func (t *KMeansTree) Len() int { return len(t.points) - t.tomb.dead }
+// Len returns the number of indexed points.
+func (t *KMeansTree) Len() int { return len(t.points) }
 
 // NumLeaves returns the number of leaf nodes.
 func (t *KMeansTree) NumLeaves() int { return t.numLeaves }
@@ -248,21 +230,12 @@ func (t *KMeansTree) KNN(q []float32, k int) ([]int, []float64) {
 		if n.members != nil {
 			visited++
 			for _, id := range n.members {
-				if e := t.tomb.extOf(id); e >= 0 {
-					cands = append(cands, cand{e, t.dist(q, t.points[id])})
-				}
+				cands = append(cands, cand{id, t.dist(q, t.points[id])})
 			}
 			continue
 		}
 		for _, c := range n.children {
 			heap.Push(pq, nodeDist{t.dist(q, c.center), c})
-		}
-	}
-	// Points appended since the last rebuild live outside the tree; scan
-	// them exactly (the dynamic overlay, bounded by the rebuild threshold).
-	for i := t.builtLen; i < len(t.points); i++ {
-		if e := t.tomb.extOf(i); e >= 0 {
-			cands = append(cands, cand{e, t.dist(q, t.points[i])})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].d < cands[j].d })

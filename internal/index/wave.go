@@ -55,7 +55,9 @@ func waveProgress(ctx context.Context) func(int) {
 
 // batchFuncWorkerSearcher is the optional native streaming path an index
 // can provide; BruteForce uses it to recycle one result buffer per wave
-// slot instead of allocating a fresh slice per query.
+// slot instead of allocating a fresh slice per query. The HNSW graph has
+// none: its queries allocate per query either way, so the generic wave loop
+// below serves it.
 type batchFuncWorkerSearcher interface {
 	BatchRangeSearchFuncWorkers(ctx context.Context, queries [][]float32, eps float64, workers, grain, wave int, fn func(i int, ids []int)) error
 }
@@ -138,9 +140,3 @@ func (b *BruteForce) BatchRangeSearchFuncWorkers(ctx context.Context, queries []
 	}
 	return nil
 }
-
-// CoverTree, Grid and KMeansTree (through their registry adapters) need no
-// native streaming path: their traversals are read-only after construction
-// and allocate per query either way, so the generic BatchRangeSearchFunc
-// fallback is their wave engine (the live set is still bounded by one
-// wave — each result is handed to fn and then dropped).

@@ -72,7 +72,7 @@ func TestBruteForceStreamingCountsQueries(t *testing.T) {
 // path, so the helper's generic per-query wave loop serves it.
 func TestGenericStreamingHelperCoverTree(t *testing.T) {
 	pts := batchTestPoints(200, 8, 13)
-	ct := NewCoverTree(pts, vecmath.EuclideanDistance, 2.0)
+	ct := coverTreeSearcher{NewCoverTree(pts, vecmath.EuclideanDistance, 2.0)}
 	queries := pts[:40]
 	const eps = 1.0
 	for _, workers := range []int{0, 1, 4} {
@@ -82,30 +82,6 @@ func TestGenericStreamingHelperCoverTree(t *testing.T) {
 		for i, q := range queries {
 			assertSameIDs(t, "cover tree", got[i], ct.RangeSearch(q, eps))
 		}
-	}
-}
-
-// TestGridAndKMeansTreeStreaming pins the approximate backends' streaming
-// wave paths — the generic BatchRangeSearchFunc loop over their registry
-// adapters — to their serial queries.
-func TestGridAndKMeansTreeStreaming(t *testing.T) {
-	pts := batchTestPoints(200, 6, 14)
-	queries := pts[:25]
-
-	g := NewGrid(pts, 1.0, 0.5)
-	got := collectStream(len(queries), func(fn func(int, []int)) {
-		BatchRangeSearchFunc(context.Background(), gridSearcher{g}, queries, 1.0, 3, 4, 8, fn)
-	})
-	for i, q := range queries {
-		assertSameIDs(t, "grid", got[i], g.ApproxRangeSearch(q, 1.0))
-	}
-
-	kt := NewKMeansTree(pts, vecmath.CosineDistanceUnit, KMeansTreeConfig{Seed: 1, LeavesRatio: 1})
-	got = collectStream(len(queries), func(fn func(int, []int)) {
-		BatchRangeSearchFunc(context.Background(), kmeansTreeSearcher{kt}, queries, 0.8, 3, 4, 8, fn)
-	})
-	for i, q := range queries {
-		assertSameIDs(t, "kmeans tree", got[i], kt.RangeSearchApprox(q, 0.8))
 	}
 }
 
@@ -137,7 +113,7 @@ func TestStreamingCancelAbortsWithinOneWave(t *testing.T) {
 	run("brute force", func(ctx context.Context, fn func(int, []int)) error {
 		return b.BatchRangeSearchFuncWorkers(ctx, pts, 0.8, 2, 2, wave, fn)
 	})
-	ct := NewCoverTree(pts, vecmath.EuclideanDistance, 2.0)
+	ct := coverTreeSearcher{NewCoverTree(pts, vecmath.EuclideanDistance, 2.0)}
 	run("generic/cover tree", func(ctx context.Context, fn func(int, []int)) error {
 		return BatchRangeSearchFunc(ctx, ct, pts, 1.0, 2, 2, wave, fn)
 	})

@@ -95,8 +95,8 @@ func TestServeIndexBackendSurfacing(t *testing.T) {
 }
 
 // TestServeIndexBackendRejections pins the 400 paths of the backend knob:
-// unknown names, metric-incapable backends, and radius-bound backends that
-// cannot serve a shared per-dataset index.
+// unknown names, including the baselines' structures that are not
+// registry backends, and a negative beam width.
 func TestServeIndexBackendRejections(t *testing.T) {
 	base, _, cleanup := modelServer(t, Options{Workers: 1, QueueDepth: 4})
 	defer cleanup()
@@ -106,13 +106,9 @@ func TestServeIndexBackendRejections(t *testing.T) {
 		params map[string]any
 	}{
 		{"unknown backend", map[string]any{"eps": 0.5, "tau": 4, "index_backend": "bogus"}},
-		// grid only supports euclidean; under the default cosine metric
-		// Params.Validate rejects it before any serve-layer rule fires.
-		{"metric-incapable backend", map[string]any{"eps": 0.5, "tau": 4, "index_backend": "grid"}},
-		// Under euclidean the grid passes validation but is radius-bound,
-		// which the shared per-dataset index cannot honor.
-		{"radius-bound backend", map[string]any{
+		{"unregistered grid", map[string]any{
 			"eps": 0.5, "tau": 4, "metric": "euclidean", "index_backend": "grid"}},
+		{"unregistered covertree", map[string]any{"eps": 0.5, "tau": 4, "index_backend": "covertree"}},
 		{"negative ef_search", map[string]any{"eps": 0.5, "tau": 4, "ef_search": -1}},
 	}
 	for _, tc := range cases {

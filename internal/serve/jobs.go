@@ -471,16 +471,6 @@ func validateJobSpec(reg *Registry, spec *JobSpec) error {
 	if !metricful && spec.Params.Metric != lafdbscan.MetricCosine {
 		return fmt.Errorf("serve: method %q supports only the cosine metric", spec.Method)
 	}
-	// Params.Validate already rejected unknown backend names and
-	// backend/metric mismatches (the 400 path for e.g. grid+cosine). The
-	// serving layer adds one constraint of its own: shared indexes are
-	// built once per (dataset, metric) and reused across query radii, so
-	// radius-bound backends cannot serve even under a supported metric.
-	if b := spec.Params.IndexBackend; b != "" && b != lafdbscan.IndexBackendAuto {
-		if caps, ok := lafdbscan.LookupIndexBackend(b); ok && caps.NeedsEps {
-			return fmt.Errorf("serve: index backend %q is radius-bound (built per eps) and cannot back the shared per-dataset index", b)
-		}
-	}
 	return nil
 }
 

@@ -78,21 +78,15 @@ func NewRegistry() *Registry {
 }
 
 // CheckIndexBackend validates an index-backend knob for serving: "" (exact
-// default), IndexBackendAuto, or a registered backend name. Radius-bound
-// backends (the grid) are rejected — shared serving indexes are built once
-// per dataset and reused across every query radius. The CLI calls it to
-// reject a bad -index-backend flag before constructing the server.
+// default), IndexBackendAuto, or a registered backend name. The CLI calls
+// it to reject a bad -index-backend flag before constructing the server.
 func CheckIndexBackend(backend string) error {
 	if backend == "" || backend == lafdbscan.IndexBackendAuto {
 		return nil
 	}
-	caps, ok := lafdbscan.LookupIndexBackend(backend)
-	if !ok {
+	if _, ok := lafdbscan.LookupIndexBackend(backend); !ok {
 		return fmt.Errorf("serve: unknown index backend %q (have %v or %q)",
 			backend, lafdbscan.IndexBackends(), lafdbscan.IndexBackendAuto)
-	}
-	if caps.NeedsEps {
-		return fmt.Errorf("serve: index backend %q is radius-bound (built per eps) and cannot back the shared per-dataset index", backend)
 	}
 	return nil
 }
@@ -223,9 +217,7 @@ func (r *Registry) Index(name string, metric lafdbscan.DistanceMetric, backend s
 	if backend == "" {
 		backend = r.DefaultIndexBackend()
 	}
-	// Shared indexes serve every radius, so NeedsEps backends never
-	// resolve here (haveEps false).
-	resolved, err := lafdbscan.ResolveIndexBackend(backend, metric, false)
+	resolved, err := lafdbscan.ResolveIndexBackend(backend, metric)
 	if err != nil {
 		return nil, "", err
 	}

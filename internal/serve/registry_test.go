@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -81,8 +82,15 @@ func TestRegistryDefaultIndexBackend(t *testing.T) {
 	if err := reg.SetDefaultIndexBackend("nope"); err == nil {
 		t.Error("unknown default backend accepted")
 	}
-	if err := reg.SetDefaultIndexBackend("grid"); err == nil {
-		t.Error("radius-bound default backend accepted")
+	// lafserve runs CheckIndexBackend on its -index-backend flag and exits
+	// at startup on the error.
+	for _, gone := range []string{"grid", "covertree"} {
+		if err := CheckIndexBackend(gone); err == nil || !strings.Contains(err.Error(), "unknown index backend") {
+			t.Errorf("CheckIndexBackend(%q) = %v, want unknown index backend", gone, err)
+		}
+		if err := reg.SetDefaultIndexBackend(gone); err == nil {
+			t.Errorf("unregistered default backend %q accepted", gone)
+		}
 	}
 	if err := reg.SetDefaultIndexBackend(lafdbscan.IndexBackendAuto); err != nil {
 		t.Fatal(err)

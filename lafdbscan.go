@@ -106,8 +106,8 @@ type Params struct {
 	Index RangeIndex
 
 	// IndexBackend selects the range-index implementation by registry name
-	// (see IndexBackends: "brute", "hnsw", "covertree", "kmeanstree",
-	// "grid") for the methods that honor a shared index. The zero value
+	// (see IndexBackends: "brute" or "hnsw") for the methods that honor a
+	// shared index. The zero value
 	// resolves the default fallback chain under an exactness requirement,
 	// landing on the brute-force scan — labels stay bit-identical to every
 	// earlier release. IndexBackendAuto resolves the same chain with
@@ -156,7 +156,7 @@ const DefaultEfSearch = hnsw.DefaultEfSearch
 func IndexBackends() []string { return index.Backends() }
 
 // IndexBackendCapabilities describes what a registered backend promises
-// (exactness, mutability, KNN support, metrics); see the internal registry
+// (exactness, KNN support, metrics); see the internal registry
 // for field documentation. The boolean fields serialize under snake_case
 // JSON names, so serving layers can expose the registry directly.
 type IndexBackendCapabilities = index.Capabilities
@@ -171,18 +171,16 @@ func LookupIndexBackend(name string) (IndexBackendCapabilities, bool) {
 // p.IndexBackend is resolved through the backend registry ("" requires
 // exactness and lands on brute force; IndexBackendAuto opts into
 // approximation and lands on HNSW; an explicit name is capability-checked
-// and used as is), then constructed with p's knobs (Seed, EfSearch,
-// Branching, LeavesRatio, Base, Rho, and — for radius-bound backends like
-// the grid — Eps). It returns the index and the resolved backend name.
+// and used as is), then constructed with p's knobs (Seed and EfSearch,
+// which only the HNSW graph reads). It returns the index and the resolved
+// backend name.
 func (p Params) NewIndex(points [][]float32, m DistanceMetric) (RangeIndex, string, error) {
-	name, err := ResolveIndexBackend(p.IndexBackend, m, p.Eps > 0)
+	name, err := ResolveIndexBackend(p.IndexBackend, m)
 	if err != nil {
 		return nil, "", err
 	}
 	idx, err := index.NewBackend(name, points, index.BackendOptions{
-		Metric: m, Eps: p.Eps, Rho: p.Rho, Base: p.Base,
-		Branching: p.Branching, LeavesRatio: p.LeavesRatio,
-		EfSearch: p.EfSearch, Seed: p.Seed,
+		Metric: m, EfSearch: p.EfSearch, Seed: p.Seed,
 	})
 	if err != nil {
 		return nil, "", err
@@ -192,17 +190,15 @@ func (p Params) NewIndex(points [][]float32, m DistanceMetric) (RangeIndex, stri
 
 // ResolveIndexBackend maps an IndexBackend knob onto a concrete registry
 // name under metric m without building anything — serving layers use it to
-// key shared-index caches by the resolved name. haveEps reports whether
-// the caller can supply the query radius at build time (radius-bound
-// backends like the grid are ineligible otherwise).
-func ResolveIndexBackend(backend string, m DistanceMetric, haveEps bool) (string, error) {
+// key shared-index caches by the resolved name.
+func ResolveIndexBackend(backend string, m DistanceMetric) (string, error) {
 	switch backend {
 	case "":
 		// The behavior-preserving default: exactness required, so the
 		// chain resolves to the brute-force scan.
 		return index.ResolveBackend(nil, index.Requirements{Exact: true, Metric: m})
 	case IndexBackendAuto:
-		return index.ResolveBackend(nil, index.Requirements{Metric: m, HaveEps: haveEps})
+		return index.ResolveBackend(nil, index.Requirements{Metric: m})
 	default:
 		caps, ok := index.LookupBackend(backend)
 		if !ok {

@@ -84,8 +84,8 @@ func WithIndex(idx RangeIndex) FitOption { return func(p *Params) { p.Index = id
 
 // WithIndexBackend selects the range-index implementation by registry name
 // (see Params.IndexBackend): "" keeps the exact default, IndexBackendAuto
-// opts into the approximate fallback chain, and an explicit name ("hnsw",
-// "covertree", ...) is used as is after a capability check.
+// opts into the approximate fallback chain, and an explicit name ("brute"
+// or "hnsw") is used as is after a capability check.
 func WithIndexBackend(name string) FitOption { return func(p *Params) { p.IndexBackend = name } }
 
 // WithEfSearch sets the HNSW recall knob (see Params.EfSearch).
@@ -671,6 +671,13 @@ func loadModelV1(r io.Reader) (*Model, error) {
 	// the default wave engine reproduces them.
 	if pp.WaveSize < 0 {
 		pp.WaveSize = 0
+	}
+	// Models saved while the baselines' cover tree, k-means tree and grid
+	// were registry backends may name one. The stored labels do not
+	// depend on it, so prediction falls back to the exact scan.
+	switch pp.IndexBackend {
+	case "covertree", "kmeanstree", "grid":
+		pp.IndexBackend = ""
 	}
 	p := Params{
 		Eps: pp.Eps, Tau: pp.Tau, Alpha: pp.Alpha,

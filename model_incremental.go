@@ -67,9 +67,9 @@ type incState struct {
 	// for gated points): the complete partial-neighbor map, maintained only
 	// for LAF-DBSCAN with post-processing enabled.
 	stop [][]int32
-	// dyn is the owned dynamic index (the same object as Model.index after
+	// dyn is the owned mutable index (the same object as Model.index after
 	// the first mutation).
-	dyn index.DynamicIndex
+	dyn *index.BruteForce
 	// dist is the model's metric function, for new-point pair distances
 	// and nearest-core tie-breaks.
 	dist vecmath.DistanceFunc
@@ -144,7 +144,7 @@ func (m *Model) pool() (workers, grain, wave int) {
 
 // ensureIncLocked builds the maintenance overlay on first use: it clones
 // the point slice (the fitted one may be shared), replaces the model's
-// index with an owned dynamic brute-force index over the clone (exact
+// index with an owned mutable brute-force index over the clone (exact
 // under the model's metric, so predictions are unchanged), and runs one
 // batched neighborhood pass to seed counts, core adjacency and — for LAF —
 // gate flags and the complete partial-neighbor map. The fitted core set is

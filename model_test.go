@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -477,6 +478,56 @@ func TestLoadModelMapsNegativeWaveSize(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("loaded model predicts %d for test[%d], saved model %d", got[i], i, want[i])
 		}
+	}
+}
+
+// TestLoadModelMapsRemovedIndexBackend pins backward compatibility: a
+// model saved naming one of the baselines' structures that are no longer
+// registry backends (covertree, kmeanstree, grid) still loads — the stored
+// name maps to the exact default — and its labels and predictions equal
+// those of the brute-backed model it was saved from.
+func TestLoadModelMapsRemovedIndexBackend(t *testing.T) {
+	train, test := modelTestData(t)
+	brute, err := Fit(context.Background(), train.Vectors, MethodDBSCAN, WithEps(0.4), WithTau(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := brute.Predict(context.Background(), test.Vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"covertree", "kmeanstree", "grid"} {
+		t.Run(name, func(t *testing.T) {
+			saved, err := Fit(context.Background(), train.Vectors, MethodDBSCAN, WithEps(0.4), WithTau(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			saved.params.IndexBackend = name
+			var buf bytes.Buffer
+			if err := saved.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadModel(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("LoadModel: %v", err)
+			}
+			if b := loaded.Params().IndexBackend; b != "" {
+				t.Errorf("loaded IndexBackend knob = %q, want \"\"", b)
+			}
+			if b := loaded.IndexBackend(); b != "brute" {
+				t.Errorf("loaded model IndexBackend() = %q, want brute", b)
+			}
+			if !slices.Equal(loaded.Labels(), brute.Labels()) {
+				t.Fatal("labels changed across the load")
+			}
+			got, err := loaded.Predict(context.Background(), test.Vectors)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatal("loaded model predicts differently from the brute-backed model")
+			}
+		})
 	}
 }
 

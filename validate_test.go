@@ -38,9 +38,9 @@ func TestParamsValidate(t *testing.T) {
 		{"batch negative", func(p *Params) { p.BatchSize = -1 }},
 		{"wave negative", func(p *Params) { p.WaveSize = -1 }},
 		{"index backend unknown", func(p *Params) { p.IndexBackend = "bogus" }},
-		// The grid only answers euclidean queries; naming it under the
-		// default cosine metric is a capability mismatch.
-		{"index backend metric-incapable", func(p *Params) { p.IndexBackend = "grid" }},
+		// The baselines' structures are not registry backends.
+		{"index backend unregistered grid", func(p *Params) { p.IndexBackend = "grid" }},
+		{"index backend unregistered covertree", func(p *Params) { p.IndexBackend = "covertree" }},
 		{"ef search negative", func(p *Params) { p.EfSearch = -1 }},
 	}
 	for _, c := range bad {
